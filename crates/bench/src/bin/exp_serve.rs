@@ -1,116 +1,42 @@
-//! **Serving load test** — measures the dynamic-batching server against a
-//! naive serial client and writes `BENCH_serve.json` at the repository
-//! root: throughput and p50/p95/p99 request latency at several offered
-//! loads, the batch-size histogram, and the speedup over serial inference.
+//! **Serving gates** — writes `BENCH_serve.json` at the repository root:
+//! the f32 and int8 accuracy ledgers against the f64 reference, the router
+//! tier under a crash-looping replica, and the SLO accounting of a
+//! deterministic traced chaos run. Serving speed is not timed here:
+//! `servebench/` times the f32, int8 and cache-hit paths end to end (see
+//! `servebench/README.md`).
 //!
-//! The workload models serving traffic with a *hot set*: requests cycle
-//! through `K` distinct (scene, query) pairs, the way production grounding
-//! traffic repeats popular scenes and phrasings. Each offered load is
-//! measured twice — once with the response cache disabled (`cache: "off"`,
-//! isolating the batching path) and once with it enabled at production
-//! capacity (`cache: "on"`, the full serving stack). On a single-core host
-//! batching alone is roughly throughput-neutral (per-image model cost is
-//! flat in batch size), so the cold numbers hover near 1×; the serving win
-//! comes from coalescing + caching, and both rows land in the JSON so the
-//! report never conflates them.
+//! The workload is a *hot set*: `K` distinct (scene, query) pairs, the way
+//! production grounding traffic repeats popular scenes and phrasings. The
+//! ledgers ground one request per pair at each precision:
 //!
-//! The serial baseline is end-to-end: render + encode + predict for one
-//! request at a time over the same request sequence, no cache — what a
-//! naive client loop would do. Offered load is modelled closed-loop: `L`
-//! outstanding requests are kept in flight; each completion immediately
-//! funds the next submission. `YOLLO_SCALE` selects tiny/standard/full.
+//! - `dtype.accuracy` compares the served f32 flat pass with f64 (IoU
+//!   where areas are positive, coordinate and score drift, attention-peak
+//!   agreement);
+//! - `quantization.accuracy` calibrates and quantizes the flat pass in
+//!   process on the same requests, and records its ACC@0.5 against ground
+//!   truth beside f64's, with box and attention agreement against f64.
 //!
-//! The final `slo` section is a deterministic traced chaos run through
-//! the virtual-clock router: per-request flight records reconcile against
-//! the router's event log, every request trace must form a causally
-//! complete admission→outcome span chain, and the latency breakdown
-//! splits p50/p95/p99 into queue wait vs model service. Set
-//! `YOLLO_TRACE_PATH` to also write that run as a Chrome trace.
+//! The `router` grid runs 1/2/4 threaded replicas under skewed hot-key
+//! traffic, healthy and with replica 0 crash-looping. The final `slo`
+//! section is a deterministic traced chaos run through the virtual-clock
+//! router: per-request flight records reconcile against the router's
+//! event log, every request trace must form a causally complete
+//! admission→outcome span chain, and the latency breakdown splits
+//! p50/p95/p99 into queue wait vs model service. Set `YOLLO_TRACE_PATH` to
+//! also write that run as a Chrome trace. `YOLLO_SCALE` selects
+//! tiny/standard/full.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use yollo_bench::{dataset, Scale};
-use yollo_core::{ReplicaFaultPlan, Yollo};
-use yollo_obs::{Json, Snapshot, TraceExemplars};
+use yollo_core::{GroundingPrediction, QuantCalibration, ReplicaFaultPlan, Yollo};
+use yollo_obs::{Json, TraceExemplars};
 use yollo_serve::{
     reconcile_flights, validate_request_chains, GroundingModel, Percentiles, Priority, RetryPolicy,
-    RouterArrival, RouterConfig, RouterServer, RouterSim, ServeConfig, ServeDtype, Server,
-    ServiceModel, SloReport, YolloBackend,
+    RouterArrival, RouterConfig, RouterServer, RouterSim, ServeConfig, ServeDtype, ServiceModel,
+    SloReport, YolloBackend,
 };
 use yollo_synthref::{DatasetKind, Scene, Split};
-
-struct LoadResult {
-    offered: usize,
-    cache_capacity: usize,
-    requests: usize,
-    wall_s: f64,
-    throughput_rps: f64,
-    snapshot: Snapshot,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_load<M: GroundingModel>(
-    model_factory: impl Fn() -> M + Send + Sync + Clone + 'static,
-    vocab: yollo_text::Vocab,
-    cfg_template: &ServeConfig,
-    scenes: &[Scene],
-    queries: &[String],
-    hot_set: &[(usize, usize)],
-    offered: usize,
-    total: usize,
-    workers: usize,
-    cache_capacity: usize,
-) -> LoadResult {
-    yollo_obs::registry().reset();
-    let cfg = ServeConfig {
-        queue_capacity: offered.max(1),
-        cache_capacity,
-        workers,
-        ..cfg_template.clone()
-    };
-    let server = Server::start(cfg, vocab, model_factory);
-    let started = Instant::now();
-    let mut pending = VecDeque::new();
-    for i in 0..total {
-        if pending.len() >= offered {
-            let resp: yollo_serve::Response = pending.pop_front().unwrap();
-            resp.wait().expect("request grounded");
-        }
-        let (si, qi) = hot_set[i % hot_set.len()];
-        pending.push_back(
-            server
-                .submit(&scenes[si], &queries[qi])
-                .expect("queue has room"),
-        );
-    }
-    for resp in pending {
-        resp.wait().expect("request grounded");
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-    drop(server);
-    LoadResult {
-        offered,
-        cache_capacity,
-        requests: total,
-        wall_s,
-        throughput_rps: total as f64 / wall_s,
-        snapshot: yollo_obs::registry().snapshot(),
-    }
-}
-
-fn hist_json(snap: &Snapshot, name: &str) -> Json {
-    match snap.histogram(name) {
-        Some(h) => Json::object([
-            ("count", h.count.into()),
-            ("mean", h.mean.into()),
-            ("p50", h.p50.into()),
-            ("p95", h.p95.into()),
-            ("p99", h.p99.into()),
-        ]),
-        None => Json::Null,
-    }
-}
 
 fn main() {
     yollo_obs::set_enabled(true);
@@ -121,10 +47,11 @@ fn main() {
     let vocab = model.vocab().clone();
     let serve_template = ServeConfig::for_model(&model_cfg);
 
-    let (total, loads, workers, serial_n, hot) = match scale {
-        Scale::Tiny => (32usize, vec![4usize, 8], 2usize, 16usize, 8usize),
-        Scale::Standard => (256, vec![8, 64], 2, 64, 32),
-        Scale::Full => (1024, vec![8, 64, 256], 2, 64, 64),
+    let workers = 2usize;
+    let hot = match scale {
+        Scale::Tiny => 8usize,
+        Scale::Standard => 32,
+        Scale::Full => 64,
     };
 
     let scenes: Vec<Scene> = ds.scenes().to_vec();
@@ -144,157 +71,37 @@ fn main() {
             )
         })
         .collect();
+    let mut lines = Vec::new();
 
-    // --- serial baseline: a naive client, one end-to-end request at a
-    // time (render + encode + predict), over the same request sequence ---
-    eprintln!("serial baseline: {serial_n} single-request passes…");
+    // --- accuracy ledgers: one request per hot pair (any sample from the
+    // pair's scene, so the image is representative), grounded by the f64
+    // reference, the served f32 flat pass and the int8 flat pass ---
     let train = ds.samples(Split::Train);
-    let serial_started = Instant::now();
-    for i in 0..serial_n {
-        let (si, _) = hot_set[i % hot_set.len()];
-        // encode_batch renders the scene and tokenizes the sentence; pick
-        // any sample from the hot scene so the image cost is representative
-        let sample = train
-            .iter()
-            .find(|s| s.scene_idx == si)
-            .unwrap_or(&train[0]);
-        let (images, ids, _) = model.encode_batch(&ds, &[sample]);
-        let preds = model.predict_batch(images, &ids);
-        assert_eq!(preds.len(), 1);
-    }
-    let serial_wall_s = serial_started.elapsed().as_secs_f64();
-    let serial_rps = serial_n as f64 / serial_wall_s;
-    eprintln!("serial: {serial_rps:.1} req/s");
+    let hot_inputs: Vec<_> = hot_set
+        .iter()
+        .map(|&(si, _)| {
+            let sample = train
+                .iter()
+                .find(|s| s.scene_idx == si)
+                .unwrap_or(&train[0]);
+            model.encode_batch(&ds, &[sample])
+        })
+        .collect();
+    let refs: Vec<GroundingPrediction> = hot_inputs
+        .iter()
+        .map(|(images, ids, _)| model.predict_batch(images.clone(), ids).remove(0))
+        .collect();
+    let pairs = hot_set.len();
 
-    // --- batched server at each offered load, cache off then on ---
-    let mut load_reports = Vec::new();
-    let mut load_lines = Vec::new();
-    for &offered in &loads {
-        for cache_capacity in [0usize, 2 * hot] {
-            let mode = if cache_capacity == 0 { "off" } else { "on" };
-            eprintln!("offered load {offered} (cache {mode}): {total} requests…");
-            let ds_vocab = vocab.clone();
-            let factory_cfg = model_cfg.clone();
-            let factory = move || {
-                let mut m = Yollo::new(factory_cfg.clone(), 7);
-                m.set_vocab(ds_vocab.clone());
-                m
-            };
-            let result = run_load(
-                factory,
-                vocab.clone(),
-                &serve_template,
-                &scenes,
-                &queries,
-                &hot_set,
-                offered,
-                total,
-                workers,
-                cache_capacity,
-            );
-            let speedup = result.throughput_rps / serial_rps;
-            let latency = hist_json(&result.snapshot, "serve.request_ns");
-            let batch_ns = hist_json(&result.snapshot, "serve.batch_ns");
-            let batch_size = hist_json(&result.snapshot, "serve.batch_size");
-            let counter = |name: &str| result.snapshot.counter(name).unwrap_or(0);
-            let report = Json::object([
-                ("offered_load", result.offered.into()),
-                ("cache", mode.into()),
-                ("cache_capacity", result.cache_capacity.into()),
-                ("requests", result.requests.into()),
-                ("wall_s", result.wall_s.into()),
-                ("throughput_rps", result.throughput_rps.into()),
-                ("speedup_vs_serial", speedup.into()),
-                ("latency_ns", latency),
-                ("batch_ns", batch_ns),
-                ("batch_size", batch_size),
-                ("batches", (counter("serve.batches")).into()),
-                ("shed", (counter("serve.shed")).into()),
-                ("cache_hits", (counter("serve.cache.hits")).into()),
-                ("worker_panics", (counter("serve.worker_panics")).into()),
-            ]);
-            load_reports.push(report);
-            let line = format!(
-                "offered {offered} (cache {mode}): {:.1} req/s ({speedup:.2}x serial, {} hits)",
-                result.throughput_rps,
-                counter("serve.cache.hits"),
-            );
-            eprintln!("{line}");
-            load_lines.push(line);
-        }
-    }
-
-    // --- dtype fast path: served throughput at each precision, plus the
-    // f64-vs-f32 accuracy delta over the hot set (IoU where areas are
-    // positive, raw coordinate/score drift always) ---
-    let dtype_offered = *loads.last().expect("at least one offered load");
-    let mut dtype_rows = Vec::new();
-    let mut dtype_rps = [0.0f64; 2];
-    for (di, dtype) in [ServeDtype::F64, ServeDtype::F32].into_iter().enumerate() {
-        eprintln!(
-            "dtype {} at offered load {dtype_offered}: {total} requests…",
-            dtype.name()
-        );
-        let ds_vocab = vocab.clone();
-        let factory_cfg = model_cfg.clone();
-        let factory = move || {
-            let mut m = Yollo::new(factory_cfg.clone(), 7);
-            m.set_vocab(ds_vocab.clone());
-            YolloBackend::new(m, dtype)
-        };
-        let result = run_load(
-            factory,
-            vocab.clone(),
-            &serve_template,
-            &scenes,
-            &queries,
-            &hot_set,
-            dtype_offered,
-            total,
-            workers,
-            0, // cache off: measure the model path, not the cache
-        );
-        dtype_rps[di] = result.throughput_rps;
-        dtype_rows.push(Json::object([
-            ("dtype", dtype.name().into()),
-            ("offered_load", result.offered.into()),
-            ("requests", result.requests.into()),
-            ("wall_s", result.wall_s.into()),
-            ("throughput_rps", result.throughput_rps.into()),
-            (
-                "speedup_vs_serial",
-                (result.throughput_rps / serial_rps).into(),
-            ),
-            (
-                "latency_ns",
-                hist_json(&result.snapshot, "serve.request_ns"),
-            ),
-        ]));
-        let line = format!(
-            "dtype {}: {:.1} req/s ({:.2}x serial)",
-            dtype.name(),
-            result.throughput_rps,
-            result.throughput_rps / serial_rps,
-        );
-        eprintln!("{line}");
-        load_lines.push(line);
-    }
-
-    // the ledger reads the f32 path that serves: the backend the dtype row
-    // above timed, built from the same seed as `model`
+    // f32: the backend that serves it, built from the same seed as `model`
+    // (IoU where areas are positive, raw coordinate/score drift always)
     let served32 = YolloBackend::new(Yollo::for_dataset(&ds, 7), ServeDtype::F32);
     let mut ious = Vec::new();
     let mut max_coord_drift = 0.0f64;
     let mut max_score_drift = 0.0f64;
     let mut peak_agree = 0usize;
-    for &(si, _) in &hot_set {
-        let sample = train
-            .iter()
-            .find(|s| s.scene_idx == si)
-            .unwrap_or(&train[0]);
-        let (images, ids, _) = model.encode_batch(&ds, &[sample]);
-        let p64 = model.predict_batch(images.clone(), &ids).remove(0);
-        let p32 = served32.predict_batch(images, &ids).remove(0);
+    for ((images, ids, _), p64) in hot_inputs.iter().zip(&refs) {
+        let p32 = served32.predict_batch(images.clone(), ids).remove(0);
         if p64.bbox.w * p64.bbox.h > 0.0 {
             ious.push(p64.bbox.iou(&p32.bbox));
         }
@@ -317,98 +124,39 @@ fn main() {
         Json::from(ious.iter().sum::<f64>() / ious.len() as f64)
     };
     let accuracy = Json::object([
-        ("pairs", hot_set.len().into()),
+        ("pairs", pairs.into()),
         ("mean_iou_f32_vs_f64", mean_iou),
         ("iou_pairs", ious.len().into()),
         ("max_coord_drift_px", max_coord_drift.into()),
         ("max_score_drift", max_score_drift.into()),
         (
             "attention_peak_agreement",
-            (peak_agree as f64 / hot_set.len() as f64).into(),
+            (peak_agree as f64 / pairs as f64).into(),
         ),
     ]);
     let acc_line = format!(
         "f32 vs f64 accuracy: max coord drift {max_coord_drift:.2e} px, \
-         max score drift {max_score_drift:.2e}, peak agreement {peak_agree}/{}",
-        hot_set.len()
+         max score drift {max_score_drift:.2e}, peak agreement {peak_agree}/{pairs}"
     );
     eprintln!("{acc_line}");
-    load_lines.push(acc_line);
-    load_lines.push(format!(
-        "f32 serve speedup vs f64: {:.2}x",
-        dtype_rps[1] / dtype_rps[0]
-    ));
+    lines.push(acc_line);
 
-    // --- quantized tier: calibrate → INT8 → export → hot-load → serve.
-    // The measured path is the production one: every worker hot-loads the
-    // versioned artifact, so artifact validation cost is in the numbers.
-    // The accuracy ledger pins the cost of INT8: ACC@0.5 drift against
-    // ground truth plus box/attention agreement with the f64 reference ---
+    // int8: calibrate on the hot set and quantize in process. The ledger
+    // pins the cost of INT8: ACC@0.5 drift against ground truth plus
+    // box/attention agreement with the f64 reference
     eprintln!("int8: calibrating on the hot set…");
     let mut quant = model.fused();
-    {
-        let mut calib = yollo_core::QuantCalibration::new();
-        for &(si, _) in &hot_set {
-            let sample = train
-                .iter()
-                .find(|s| s.scene_idx == si)
-                .unwrap_or(&train[0]);
-            let (images, ids, _) = model.encode_batch(&ds, &[sample]);
-            quant.calibrate(&images, &ids, &mut calib);
-        }
-        quant.quantize(&calib);
+    let mut calib = QuantCalibration::new();
+    for (images, ids, _) in &hot_inputs {
+        quant.calibrate(images, ids, &mut calib);
     }
-    let art_path = std::env::temp_dir().join(format!("yollo_bench_{}.yq8", std::process::id()));
-    quant.export(&art_path).expect("artifact export");
-    eprintln!("int8 at offered load {dtype_offered}: {total} requests (hot-loaded artifact)…");
-    let factory_path = art_path.clone();
-    let int8_result = run_load(
-        move || YolloBackend::from_artifact(&factory_path).expect("artifact hot-load"),
-        vocab.clone(),
-        &serve_template,
-        &scenes,
-        &queries,
-        &hot_set,
-        dtype_offered,
-        total,
-        workers,
-        0, // cache off: measure the model path, not the cache
-    );
-    std::fs::remove_file(&art_path).ok();
-    let int8_rps = int8_result.throughput_rps;
-    let int8_row = Json::object([
-        ("dtype", ("int8").into()),
-        ("offered_load", int8_result.offered.into()),
-        ("requests", int8_result.requests.into()),
-        ("wall_s", int8_result.wall_s.into()),
-        ("throughput_rps", int8_rps.into()),
-        ("speedup_vs_serial", (int8_rps / serial_rps).into()),
-        (
-            "latency_ns",
-            hist_json(&int8_result.snapshot, "serve.request_ns"),
-        ),
-    ]);
-    let line = format!(
-        "dtype int8: {int8_rps:.1} req/s ({:.2}x serial, {:.2}x f32, {:.2}x f64)",
-        int8_rps / serial_rps,
-        int8_rps / dtype_rps[1],
-        int8_rps / dtype_rps[0],
-    );
-    eprintln!("{line}");
-    load_lines.push(line);
-
+    quant.quantize(&calib);
     let mut q_ious = Vec::new();
     let mut q_peak_agree = 0usize;
     let mut q_max_score_drift = 0.0f64;
     let (mut hits64, mut hits8) = (0usize, 0usize);
-    for &(si, _) in &hot_set {
-        let sample = train
-            .iter()
-            .find(|s| s.scene_idx == si)
-            .unwrap_or(&train[0]);
-        let (images, ids, targets) = model.encode_batch(&ds, &[sample]);
-        let p64 = model.predict_batch(images.clone(), &ids).remove(0);
-        let p8 = quant.predict_batch(images, &ids).remove(0);
+    for ((images, ids, targets), p64) in hot_inputs.iter().zip(&refs) {
+        let p8 = quant.predict_batch(images.clone(), ids).remove(0);
         if p64.bbox.iou(&targets[0]) >= 0.5 {
             hits64 += 1;
         }
@@ -423,7 +171,6 @@ fn main() {
         }
         q_max_score_drift = q_max_score_drift.max((p64.score - p8.score).abs());
     }
-    let pairs = hot_set.len();
     let acc64 = hits64 as f64 / pairs as f64;
     let acc8 = hits8 as f64 / pairs as f64;
     let q_mean_iou = if q_ious.is_empty() {
@@ -450,13 +197,7 @@ fn main() {
         (acc64 - acc8).abs()
     );
     eprintln!("{quant_line}");
-    load_lines.push(quant_line);
-    let quant_json = Json::object([
-        ("row", int8_row),
-        ("speedup_vs_f64", (int8_rps / dtype_rps[0]).into()),
-        ("speedup_vs_f32", (int8_rps / dtype_rps[1]).into()),
-        ("accuracy", quant_accuracy),
-    ]);
+    lines.push(quant_line);
 
     // --- router tier: 1/2/4 replicas under skewed hot-key traffic,
     // healthy and with replica 0 crash-looping. Scene-affinity keeps the
@@ -588,7 +329,7 @@ fn main() {
                 stats.retries
             );
             eprintln!("{line}");
-            load_lines.push(line);
+            lines.push(line);
         }
     }
 
@@ -730,34 +471,24 @@ fn main() {
         slo.service.p95 / 1000,
     );
     eprintln!("{slo_line}");
-    load_lines.push(slo_line);
+    lines.push(slo_line);
 
-    let dtype_json = Json::object([("rows", Json::Array(dtype_rows)), ("accuracy", accuracy)]);
-    let serial = Json::object([
-        ("requests", serial_n.into()),
-        ("wall_s", serial_wall_s.into()),
-        ("throughput_rps", serial_rps.into()),
-    ]);
-    let loads_json = Json::Array(load_reports);
     let results = Json::object([
         ("scale", (format!("{scale:?}")).into()),
         ("workers", workers.into()),
         ("max_batch", serve_template.max_batch.into()),
         ("max_wait_ns", serve_template.max_wait_ns.into()),
         ("hot_set", hot.into()),
-        ("serial", serial),
-        ("loads", loads_json),
-        ("dtype", dtype_json),
-        ("quantization", quant_json),
+        ("dtype", Json::object([("accuracy", accuracy)])),
+        ("quantization", Json::object([("accuracy", quant_accuracy)])),
         ("router", Json::Array(router_rows)),
         ("slo", slo_json),
     ]);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     std::fs::write(&path, results.pretty()).expect("can write BENCH_serve.json");
 
-    println!("# Serving load test ({scale:?} scale)\n");
-    println!("serial baseline: {serial_rps:.1} req/s over {serial_n} requests");
-    for line in &load_lines {
+    println!("# Serving gates ({scale:?} scale)\n");
+    for line in &lines {
         println!("{line}");
     }
     println!("\nwrote {}", path.display());

@@ -906,19 +906,39 @@ mod tests {
         }
     }
 
+    /// One scratch reused across batches that shrink and grow again (the
+    /// sizes a serving worker sees) answers bit for bit as a fresh one, in
+    /// float and in int8 mode.
     #[test]
     fn scratch_reuse_is_equivalent() {
         let (model, ds) = tiny();
-        let fused = model.fused();
         let (images, queries, _) = val_batch(&model, &ds);
-        let fresh = fused.predict_batch(images.clone(), &queries);
-        let mut s = QuantizedScratch::default();
-        let first = fused.predict_batch_with(&images, &queries, &mut s);
-        let second = fused.predict_batch_with(&images, &queries, &mut s);
-        for ((a, b), c) in fresh.iter().zip(&first).zip(&second) {
-            assert_eq!(a.bbox, b.bbox);
-            assert_eq!(b.bbox, c.bbox);
-            assert_eq!(b.score, c.score);
+        let mut int8 = model.fused();
+        let mut calib = QuantCalibration::new();
+        int8.calibrate(&images, &queries, &mut calib);
+        int8.quantize(&calib);
+        let bits = |p: &GroundingPrediction| {
+            let b = p.bbox;
+            [b.x, b.y, b.w, b.h, p.score]
+                .into_iter()
+                .chain(p.attention.iter().copied())
+                .map(f64::to_bits)
+                .collect::<Vec<u64>>()
+        };
+        let val = ds.samples(Split::Val);
+        for (mode, flat) in [("float", model.fused()), ("int8", int8)] {
+            let mut s = QuantizedScratch::default();
+            for (batch, skip) in [(8, 0), (1, 5), (3, 2), (8, 0)] {
+                let samples: Vec<_> = val.iter().skip(skip).take(batch).collect();
+                assert_eq!(samples.len(), batch);
+                let (images, queries, _) = model.encode_batch(&ds, &samples);
+                let fresh = flat.predict_batch(images.clone(), &queries);
+                let reused = flat.predict_batch_with(&images, &queries, &mut s);
+                assert_eq!(reused.len(), batch);
+                for (i, (a, b)) in fresh.iter().zip(&reused).enumerate() {
+                    assert_eq!(bits(a), bits(b), "{mode} b{batch} sample {i}");
+                }
+            }
         }
     }
 }

@@ -30,11 +30,11 @@
 //! - **JSON** ([`Json`]): the workspace's one JSON value, writer and
 //!   parser, compiled with or without the `enabled` feature; the trace and
 //!   snapshot writers below share its escape and float routines.
-//! - **Streaming accounting** ([`Fingerprint64`], [`StreamHistogram`],
-//!   [`OnlineStats`]) for deterministic simulations: plain single-owner
-//!   accumulators that record unconditionally (never silenced by the
-//!   switches below), so a million-event run can be reconciled and
-//!   fingerprinted in constant memory.
+//! - **Streaming accounting** ([`Fingerprint64`], [`StreamHistogram`])
+//!   for deterministic simulations: plain single-owner accumulators that
+//!   record unconditionally (never silenced by the switches below), so a
+//!   million-event run can be reconciled and fingerprinted in constant
+//!   memory.
 //!
 //! # Switching it off
 //!
@@ -90,7 +90,7 @@ pub use span::{
     span_owned, take_dropped_spans, trace_path_from_env, write_chrome_trace, Span, SpanEvent,
     TraceContext, RING_CAPACITY,
 };
-pub use stream::{Fingerprint64, OnlineStats, StreamHistogram, STREAM_HIST_BUCKETS};
+pub use stream::{Fingerprint64, StreamHistogram, STREAM_HIST_BUCKETS};
 pub use trace::{TraceExemplar, TraceExemplars};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -14,7 +14,6 @@
 //! - [`StreamHistogram`] — the same 64-bucket log2 histogram shape as
 //!   [`crate::Histogram`], ungated and non-atomic, with a u128 sum so a
 //!   billion nanosecond-scale samples cannot overflow.
-//! - [`OnlineStats`] — exact count/sum/min/max/mean of a u64 stream.
 
 /// Number of log2 buckets in a [`StreamHistogram`] (same layout as
 /// [`crate::HIST_BUCKETS`]).
@@ -170,65 +169,6 @@ impl StreamHistogram {
     }
 }
 
-/// Exact online summary statistics of a `u64` stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OnlineStats {
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl OnlineStats {
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats::default()
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value as u128;
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum (u128: no overflow at any realistic stream length).
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,19 +218,5 @@ mod tests {
         s.record(42);
         assert_eq!(s.count(), 1);
         assert!(s.quantile(0.5) > 0);
-    }
-
-    #[test]
-    fn online_stats_are_exact() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        for v in [5u64, 1, 9, 5] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.sum(), 20);
-        assert_eq!(s.min(), 1);
-        assert_eq!(s.max(), 9);
-        assert_eq!(s.mean(), 5.0);
     }
 }

@@ -1,15 +1,15 @@
-//! Time and wake-up abstractions that make the batching state machine
+//! The time abstraction that makes the batching state machine
 //! deterministic under test.
 //!
 //! The scheduler never calls [`std::time::Instant::now`] or sleeps
-//! directly: it reads a [`Clock`] and signals a [`Waker`]. Production code
-//! plugs in [`SystemClock`] plus a condvar-backed waker; tests plug in a
+//! directly: it reads a [`Clock`]. The threaded server plugs in
+//! [`SystemClock`]; tests and the router's event loop plug in a
 //! [`VirtualClock`] they advance by hand, so every deadline fires at an
 //! exact, reproducible nanosecond with no real sleeping and no flaky
 //! timing.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotonic nanosecond clock.
@@ -79,50 +79,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// A wake-up signal from the batcher to whatever runs batches.
-///
-/// The scheduler calls [`Waker::wake`] whenever work may have become
-/// runnable: a batch filled up, or a new flush deadline was armed. The
-/// threaded server backs this with a condvar notification; single-threaded
-/// tests use [`NoopWaker`] (they drive the state machine directly) or
-/// [`CountingWaker`] to assert on wake semantics.
-pub trait Waker: Send + Sync {
-    /// Signals that a batch may be ready or a deadline armed.
-    fn wake(&self);
-}
-
-/// Ignores wake-ups (for inline, single-threaded driving).
-#[derive(Debug, Default)]
-pub struct NoopWaker;
-
-impl Waker for NoopWaker {
-    fn wake(&self) {}
-}
-
-/// Counts wake-ups (for tests asserting when the scheduler signals).
-#[derive(Debug, Default)]
-pub struct CountingWaker {
-    count: AtomicUsize,
-}
-
-impl CountingWaker {
-    /// A waker with zero recorded wake-ups.
-    pub fn new() -> Self {
-        CountingWaker::default()
-    }
-
-    /// Wake-ups recorded so far.
-    pub fn count(&self) -> usize {
-        self.count.load(Ordering::SeqCst)
-    }
-}
-
-impl Waker for CountingWaker {
-    fn wake(&self) {
-        self.count.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,14 +107,5 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn counting_waker_counts() {
-        let w = CountingWaker::new();
-        w.wake();
-        w.wake();
-        assert_eq!(w.count(), 2);
-        NoopWaker.wake(); // no-op, just exercise it
     }
 }

@@ -13,9 +13,6 @@
 //!    small runs (where the tail *is* the complete log —
 //!    [`EventLog::is_complete`] says so, and every existing
 //!    reconciliation/fingerprint test keeps working on it).
-//!
-//! Full retention remains available as an explicit opt-in
-//! ([`EventRetention::Full`]) for small-run forensics.
 
 use std::collections::VecDeque;
 
@@ -29,29 +26,11 @@ use crate::router::{RouterEvent, RouterEventKind};
 /// few megabytes.
 pub const DEFAULT_EVENT_TAIL: usize = 65_536;
 
-/// How many [`RouterEvent`]s a [`EventLog`] keeps in memory. The
-/// fingerprint and total always cover every event regardless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventRetention {
-    /// Keep every event — unbounded memory; opt-in for small-run
-    /// debugging only.
-    Full,
-    /// Keep only the most recent events (the default, sized by
-    /// [`DEFAULT_EVENT_TAIL`]). `Tail(0)` keeps none.
-    Tail(usize),
-}
-
-impl Default for EventRetention {
-    fn default() -> Self {
-        EventRetention::Tail(DEFAULT_EVENT_TAIL)
-    }
-}
-
-/// The router's event log: rolling fingerprint + total + bounded tail
-/// (or the full stream under [`EventRetention::Full`]).
+/// The router's event log: rolling fingerprint + total + bounded tail.
 #[derive(Debug)]
 pub struct EventLog {
-    retention: EventRetention,
+    /// How many of the most recent events stay in memory (0 keeps none).
+    tail: usize,
     fingerprint: Fingerprint64,
     total: u64,
     buf: VecDeque<RouterEvent>,
@@ -59,15 +38,15 @@ pub struct EventLog {
 
 impl Default for EventLog {
     fn default() -> Self {
-        EventLog::new(EventRetention::default())
+        EventLog::new(DEFAULT_EVENT_TAIL)
     }
 }
 
 impl EventLog {
-    /// An empty log with the given retention policy.
-    pub fn new(retention: EventRetention) -> Self {
+    /// An empty log keeping the `tail` most recent events.
+    pub fn new(tail: usize) -> Self {
         EventLog {
-            retention,
+            tail,
             fingerprint: Fingerprint64::new(),
             total: 0,
             buf: VecDeque::new(),
@@ -75,21 +54,18 @@ impl EventLog {
     }
 
     /// Appends one event: absorbs it into the fingerprint, bumps the
-    /// total, and retains it per the policy (evicting the oldest retained
-    /// event when a bounded tail is full).
+    /// total, and retains it in the tail (evicting the oldest retained
+    /// event when the tail is full).
     pub fn push(&mut self, ev: RouterEvent) {
         self.fingerprint.push_all(&event_words(&ev));
         self.total += 1;
-        match self.retention {
-            EventRetention::Full => self.buf.push_back(ev),
-            EventRetention::Tail(0) => {}
-            EventRetention::Tail(n) => {
-                if self.buf.len() == n {
-                    self.buf.pop_front();
-                }
-                self.buf.push_back(ev);
-            }
+        if self.tail == 0 {
+            return;
         }
+        if self.buf.len() == self.tail {
+            self.buf.pop_front();
+        }
+        self.buf.push_back(ev);
     }
 
     /// The rolling digest over *every* event ever pushed.
@@ -113,31 +89,19 @@ impl EventLog {
         self.buf.len() as u64 == self.total
     }
 
-    /// The current retention policy.
-    pub fn retention(&self) -> EventRetention {
-        self.retention
-    }
-
-    /// Changes the retention policy in place. Shrinking to a bounded tail
-    /// drops the oldest retained events; the fingerprint and total are
-    /// unaffected (they always cover the whole stream).
-    pub fn set_retention(&mut self, retention: EventRetention) {
-        self.retention = retention;
-        if let EventRetention::Tail(n) = retention {
-            while self.buf.len() > n {
-                self.buf.pop_front();
-            }
+    /// Changes the tail length in place. Shrinking it drops the oldest
+    /// retained events; the fingerprint and total are unaffected (they
+    /// always cover the whole stream).
+    pub fn set_tail(&mut self, tail: usize) {
+        self.tail = tail;
+        while self.buf.len() > tail {
+            self.buf.pop_front();
         }
     }
 
     /// The retained events, oldest first.
     pub fn to_vec(&self) -> Vec<RouterEvent> {
         self.buf.iter().copied().collect()
-    }
-
-    /// Iterates the retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &RouterEvent> {
-        self.buf.iter()
     }
 }
 
@@ -170,8 +134,8 @@ mod tests {
 
     #[test]
     fn bounded_tail_keeps_fingerprint_over_the_whole_stream() {
-        let mut bounded = EventLog::new(EventRetention::Tail(4));
-        let mut full = EventLog::new(EventRetention::Full);
+        let mut bounded = EventLog::new(4);
+        let mut full = EventLog::new(100);
         for i in 0..100u64 {
             let e = ev(i * 10, i, RouterEventKind::Shed);
             bounded.push(e);
@@ -267,12 +231,13 @@ mod tests {
 
     #[test]
     fn shrinking_retention_trims_but_keeps_totals() {
-        let mut log = EventLog::new(EventRetention::Full);
+        let mut log = EventLog::default();
         for i in 0..10u64 {
             log.push(ev(i, i, RouterEventKind::Unavailable));
         }
+        assert!(log.is_complete());
         let fp = log.fingerprint();
-        log.set_retention(EventRetention::Tail(3));
+        log.set_tail(3);
         assert_eq!(log.retained(), 3);
         assert_eq!(log.total(), 10);
         assert_eq!(log.fingerprint(), fp);

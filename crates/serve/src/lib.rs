@@ -20,11 +20,10 @@
 //!   [`ServeError::WorkerFailed`] — every accepted request is answered
 //!   exactly once, and the pool keeps serving.
 //!
-//! The scheduler is built against [`Clock`]/[`Waker`] traits, so the exact
-//! flush schedule is testable with a [`VirtualClock`] and no sleeps:
-//! [`ServerCore`] is the deterministic single-threaded driver,
-//! [`Simulation`] replays arrival scripts through it, and [`Server`] is
-//! the threaded production pool on the same state machine.
+//! The scheduler reads time from a [`Clock`], so the exact flush schedule
+//! is testable with a [`VirtualClock`] and no sleeps: [`ServerCore`] is
+//! the deterministic single-threaded driver, and [`Server`] is the
+//! threaded production pool on the same state machine.
 //!
 //! On top of single-server serving sits the **resilient router tier**: a
 //! consistent-hash ring ([`HashRing`]) keeps each scene's traffic on one
@@ -36,7 +35,8 @@
 //! explicit `now` and returns the next action. [`Router`] drives it on a
 //! [`VirtualClock`] over [`ServerCore`] replicas with
 //! [`yollo_core::ReplicaFaultPlan`] fault injection ([`RouterSim`] is its
-//! event loop); [`RouterServer`] drives it on threads over real
+//! event loop, and the one place arrival scripts are replayed, down to a
+//! single replica); [`RouterServer`] drives it on threads over real
 //! [`Server`] replicas.
 //!
 //! The whole tier is soak-tested by **deterministic simulation**
@@ -76,15 +76,14 @@ mod ring;
 mod router;
 mod router_server;
 mod server;
-mod sim;
 mod simtest;
 mod slo;
 
 pub use batcher::{Batch, BatchBoundary, Batcher, FlushReason};
 pub use cache::LruCache;
-pub use clock::{Clock, CountingWaker, NoopWaker, SystemClock, VirtualClock, Waker};
+pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::ServeError;
-pub use events::{EventLog, EventRetention, DEFAULT_EVENT_TAIL};
+pub use events::{EventLog, DEFAULT_EVENT_TAIL};
 pub use health::{CircuitState, HealthConfig, HealthState};
 pub use retry::{JitterRng, RetryPolicy};
 pub use ring::HashRing;
@@ -97,7 +96,6 @@ pub use server::{
     GroundingModel, Response, ResponseMeta, ResponseSource, ServeConfig, ServeDtype, ServeResult,
     Server, ServerCore, YolloBackend,
 };
-pub use sim::{Arrival, SimReport, Simulation};
 pub use simtest::{
     derive_seed, run_simtest, sim_world, FaultSpec, InvariantChecker, InvariantViolation,
     LoadShape, SimArrival, SimModel, SimRng, SimtestConfig, SimtestOutcome, WorkloadGen,

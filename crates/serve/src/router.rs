@@ -11,9 +11,9 @@
 //! log is the run's fingerprint. The log is held in an [`crate::EventLog`]: a
 //! rolling fingerprint over every event plus a bounded tail (complete for
 //! small runs, constant-memory for million-request soaks; see
-//! [`Router::set_event_retention`]). [`RouterSim`] is the virtual-time
-//! event loop that replays arrival scripts, and the [`crate::simtest`]
-//! harness runs the same loop at soak scale.
+//! [`Router::set_event_tail`]). [`RouterSim`] is the virtual-time event
+//! loop that replays arrival scripts, and the [`crate::simtest`] harness
+//! runs the same loop at soak scale.
 
 use std::collections::HashMap;
 use std::mem;
@@ -26,9 +26,10 @@ use yollo_synthref::Scene;
 use yollo_tensor::Tensor;
 use yollo_text::Vocab;
 
-use crate::clock::{Clock, NoopWaker, VirtualClock};
+use crate::batcher::BatchBoundary;
+use crate::clock::{Clock, VirtualClock};
 use crate::error::ServeError;
-use crate::events::{EventLog, EventRetention};
+use crate::events::EventLog;
 use crate::health::{CircuitState, HealthConfig};
 use crate::policy::{Action, Answer, Flight, FlightLog, InputCheck, Policy};
 use crate::retry::RetryPolicy;
@@ -315,7 +316,6 @@ impl<M: GroundingModel> Router<M> {
                         vocab.clone(),
                         serve_cfg.clone(),
                         Arc::clone(&clock),
-                        Arc::new(NoopWaker),
                     ),
                     plan,
                     busy_until_ns: 0,
@@ -458,8 +458,8 @@ impl<M: GroundingModel> Router<M> {
         self.pending.len()
     }
 
-    /// The retained events so far, oldest first. Under the default
-    /// bounded retention this is the complete log for small runs (check
+    /// The retained events so far, oldest first. Under the default tail
+    /// this is the complete log for small runs (check
     /// [`Router::events_complete`]); for soak-scale runs it is the tail,
     /// and [`Router::events_fingerprint`] covers the whole stream.
     pub fn events(&self) -> Vec<RouterEvent> {
@@ -483,12 +483,11 @@ impl<M: GroundingModel> Router<M> {
         self.policy.events().is_complete()
     }
 
-    /// Changes event retention. The default is a bounded tail
-    /// ([`crate::DEFAULT_EVENT_TAIL`]); [`EventRetention::Full`] is the
-    /// opt-in for small-run debugging. The fingerprint and total always
+    /// Keeps at most `tail` of the most recent events (the default is
+    /// [`crate::DEFAULT_EVENT_TAIL`]). The fingerprint and total always
     /// cover the whole stream regardless.
-    pub fn set_event_retention(&mut self, retention: EventRetention) {
-        self.policy.events_mut().set_retention(retention);
+    pub fn set_event_tail(&mut self, tail: usize) {
+        self.policy.events_mut().set_tail(tail);
     }
 
     /// Registers a streaming observer called once per event, in push
@@ -538,6 +537,12 @@ impl<M: GroundingModel> Router<M> {
     /// Entries currently held by replica `r`'s response cache.
     pub fn replica_cache_len(&self, replica: usize) -> usize {
         self.replicas[replica].core.cache_len()
+    }
+
+    /// Every batch replica `r` has flushed, in order — its batch-boundary
+    /// fingerprint.
+    pub fn replica_boundaries(&self, replica: usize) -> &[BatchBoundary] {
+        self.replicas[replica].core.boundaries()
     }
 
     // ---------------------------------------------------------- internals

@@ -4,8 +4,8 @@
 //!
 //! * [`ServerCore`] — single-threaded and inline, driven by explicit
 //!   [`ServerCore::tick`] calls against any [`Clock`]. This is the
-//!   deterministic form used by the virtual-clock tests and the
-//!   [`crate::Simulation`] harness.
+//!   deterministic form used by the virtual-clock tests and by the
+//!   router's replicas in [`crate::RouterSim`].
 //! * [`Server`] — the production form: a worker pool blocking on a
 //!   condvar, flushing batches as deadlines expire or batches fill.
 //!
@@ -21,8 +21,8 @@ use std::thread;
 use std::time::Duration;
 
 use yollo_core::{
-    encode_query_strict, scene_hash, stack_images, GroundingPrediction, QuantizedYollo, RequestKey,
-    Yollo, YolloConfig,
+    encode_query_strict, stack_images, GroundingPrediction, QuantizedYollo, RequestKey, Yollo,
+    YolloConfig,
 };
 use yollo_obs::{alloc_child, alloc_root, counter, emit_span, histogram, TraceContext};
 use yollo_synthref::Scene;
@@ -31,7 +31,7 @@ use yollo_text::Vocab;
 
 use crate::batcher::{Batch, BatchBoundary, Batcher};
 use crate::cache::LruCache;
-use crate::clock::{Clock, NoopWaker, SystemClock, Waker};
+use crate::clock::{Clock, SystemClock};
 use crate::error::ServeError;
 
 /// The result of one grounding request.
@@ -404,7 +404,6 @@ fn emit_request_root(root: TraceContext, enq_real_ns: u64, args: &[(&'static str
 /// `default_deadline_ns`, or no deadline if that is 0). `parent` is the
 /// caller's trace context (the router's attempt span); when it is
 /// [`TraceContext::NONE`] the server roots a fresh trace for the request.
-/// Returns the response handle and whether the push filled the batch.
 #[allow(clippy::too_many_arguments)]
 fn admit(
     cfg: &ServeConfig,
@@ -415,7 +414,7 @@ fn admit(
     query: &str,
     deadline_ns: u64,
     parent: TraceContext,
-) -> Result<(Response, bool), ServeError> {
+) -> Result<Response, ServeError> {
     counter!("serve.requests").incr();
     if state.shutdown {
         return Err(ServeError::ShuttingDown);
@@ -444,7 +443,7 @@ fn admit(
             meta: ResponseMeta::out_of_band(ResponseSource::Cache),
         });
         emit_request_root(root, enq_real_ns, &[("cache", 1)]);
-        return Ok((Response { rx }, false));
+        return Ok(Response { rx });
     }
     counter!("serve.cache.misses").incr();
     if state.inflight >= cfg.queue_capacity {
@@ -463,7 +462,7 @@ fn admit(
         u64::MAX
     };
     let image = scene.render().into_vec();
-    let full = state.batcher.push_with_deadline(
+    state.batcher.push_with_deadline(
         Job {
             image,
             ids,
@@ -478,7 +477,7 @@ fn admit(
         now_ns,
         deadline_ns,
     );
-    Ok((Response { rx }, full))
+    Ok(Response { rx })
 }
 
 /// Answers every queued job whose deadline has passed with
@@ -679,43 +678,29 @@ pub struct ServerCore<M: GroundingModel> {
     vocab: Vocab,
     cfg: ServeConfig,
     clock: Arc<dyn Clock>,
-    waker: Arc<dyn Waker>,
     state: ServeState,
 }
 
 impl<M: GroundingModel> ServerCore<M> {
-    /// A core on the system clock (no wake-ups observed).
+    /// A core on the system clock.
     pub fn new(model: M, vocab: Vocab, cfg: ServeConfig) -> Self {
-        ServerCore::with_clock(
-            model,
-            vocab,
-            cfg,
-            Arc::new(SystemClock::new()),
-            Arc::new(NoopWaker),
-        )
+        ServerCore::with_clock(model, vocab, cfg, Arc::new(SystemClock::new()))
     }
 
-    /// A core on an explicit clock and waker — the test entry point.
-    pub fn with_clock(
-        model: M,
-        vocab: Vocab,
-        cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-        waker: Arc<dyn Waker>,
-    ) -> Self {
+    /// A core on an explicit clock — the test and router entry point.
+    pub fn with_clock(model: M, vocab: Vocab, cfg: ServeConfig, clock: Arc<dyn Clock>) -> Self {
         let state = ServeState::new(&cfg);
         ServerCore {
             model,
             vocab,
             cfg,
             clock,
-            waker,
             state,
         }
     }
 
-    /// Admits one request at the current clock reading. The waker fires
-    /// when the push filled a batch or armed a fresh deadline.
+    /// Admits one request at the current clock reading; nothing runs
+    /// until the next [`ServerCore::tick`].
     pub fn submit(&mut self, scene: &Scene, query: &str) -> Result<Response, ServeError> {
         self.submit_with_deadline(scene, query, u64::MAX)
     }
@@ -745,7 +730,7 @@ impl<M: GroundingModel> ServerCore<M> {
         parent: TraceContext,
     ) -> Result<Response, ServeError> {
         let now = self.clock.now_ns();
-        let (resp, full) = admit(
+        admit(
             &self.cfg,
             &self.vocab,
             &mut self.state,
@@ -754,11 +739,7 @@ impl<M: GroundingModel> ServerCore<M> {
             query,
             deadline_ns,
             parent,
-        )?;
-        if full || self.state.batcher.len() == 1 {
-            self.waker.wake();
-        }
-        Ok(resp)
+        )
     }
 
     /// Answers every queued request whose deadline has passed
@@ -840,15 +821,6 @@ impl<M: GroundingModel> ServerCore<M> {
         &self.state.boundaries
     }
 
-    /// The id of the most recently flushed batch (0 before any flush).
-    pub fn last_batch_id(&self) -> u64 {
-        self.state
-            .boundaries
-            .last()
-            .map(|b| b.batch_id)
-            .unwrap_or(0)
-    }
-
     /// Accepted-but-unanswered requests.
     pub fn inflight(&self) -> usize {
         self.state.inflight
@@ -857,11 +829,6 @@ impl<M: GroundingModel> ServerCore<M> {
     /// When the oldest pending request must flush, if anything is pending.
     pub fn next_deadline_ns(&self) -> Option<u64> {
         self.state.batcher.next_deadline_ns()
-    }
-
-    /// The content hash the cache uses for `scene` (exposed for tests).
-    pub fn scene_key(scene: &Scene) -> u64 {
-        scene_hash(scene)
     }
 
     /// Entries currently held by the response cache.
@@ -873,7 +840,7 @@ impl<M: GroundingModel> ServerCore<M> {
 struct Shared {
     cfg: ServeConfig,
     vocab: Vocab,
-    clock: Arc<dyn Clock>,
+    clock: SystemClock,
     state: Mutex<ServeState>,
     cond: Condvar,
 }
@@ -897,27 +864,12 @@ impl Server {
         M: GroundingModel,
         F: Fn() -> M + Send + Sync + 'static,
     {
-        Server::start_with_clock(cfg, vocab, Arc::new(SystemClock::new()), factory)
-    }
-
-    /// Starts the pool on an explicit clock (tests use short real waits or
-    /// batch-size-triggered flushes with a virtual clock).
-    pub fn start_with_clock<M, F>(
-        cfg: ServeConfig,
-        vocab: Vocab,
-        clock: Arc<dyn Clock>,
-        factory: F,
-    ) -> Self
-    where
-        M: GroundingModel,
-        F: Fn() -> M + Send + Sync + 'static,
-    {
         let n = cfg.workers.max(1);
         let state = ServeState::new(&cfg);
         let shared = Arc::new(Shared {
             cfg,
             vocab,
-            clock,
+            clock: SystemClock::new(),
             state: Mutex::new(state),
             cond: Condvar::new(),
         });
@@ -950,7 +902,7 @@ impl Server {
     ) -> Result<Response, ServeError> {
         let now = self.shared.clock.now_ns();
         let mut st = self.shared.state.lock().expect("serve state poisoned");
-        let (resp, _full) = admit(
+        let resp = admit(
             &self.shared.cfg,
             &self.shared.vocab,
             &mut st,
@@ -1018,8 +970,8 @@ where
     M: GroundingModel,
     F: Fn() -> M,
 {
-    // Cap timed waits so progress does not depend on the clock being the
-    // wall clock (a virtual clock advances between waits, not during them).
+    // Cap timed waits so a worker re-reads the clock at least every
+    // millisecond, whatever deadline it is waiting for.
     const MAX_WAIT: Duration = Duration::from_millis(1);
     let mut model = factory();
     let mut consecutive_failures = 0usize;
@@ -1042,7 +994,7 @@ where
                 batch_id: batch.id,
             });
             drop(st);
-            let mut outcome = run_batch(&model, &shared.cfg, shared.clock.as_ref(), batch);
+            let mut outcome = run_batch(&model, &shared.cfg, &shared.clock, batch);
             if outcome.failed {
                 consecutive_failures += 1;
                 histogram!("serve.worker.consecutive_failures").record(consecutive_failures as u64);

@@ -45,7 +45,6 @@ use yollo_synthref::{ColorName, Scene, SceneBuilder, ShapeKind};
 use yollo_tensor::Tensor;
 use yollo_text::{tokenize, Vocab};
 
-use crate::events::EventRetention;
 use crate::router::{
     Priority, RouterConfig, RouterEvent, RouterEventKind, RouterSim, RouterStats, ServiceModel,
     NO_REQUEST,
@@ -909,7 +908,7 @@ pub fn run_simtest(cfg: &SimtestConfig) -> SimtestOutcome {
     let router = sim.router_mut();
     // Soak posture: constant-memory events and flights; the fingerprint
     // covers the full stream regardless.
-    router.set_event_retention(EventRetention::Tail(1024));
+    router.set_event_tail(1024);
     router.stream_flights();
     let observer = Arc::clone(&checker);
     router.set_event_observer(Box::new(move |ev| {

@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use common::{other_scene, scene, vocab, StubModel};
 use yollo_serve::{
-    Arrival, CountingWaker, FlushReason, ServeConfig, ServeError, ServerCore, Simulation,
-    VirtualClock,
+    FlightOutcome, FlushReason, Priority, RouterArrival, RouterConfig, RouterSim, ServeConfig,
+    ServeError, ServerCore, VirtualClock,
 };
 
 fn test_config() -> ServeConfig {
@@ -31,7 +31,6 @@ fn core_on_virtual_clock(cfg: ServeConfig) -> (ServerCore<StubModel>, Arc<Virtua
         vocab(),
         cfg,
         Arc::clone(&clock) as Arc<dyn yollo_serve::Clock>,
-        Arc::new(yollo_serve::NoopWaker),
     );
     (core, clock)
 }
@@ -72,26 +71,6 @@ fn full_batch_flushes_immediately_without_time_passing() {
         assert!(r.wait().is_ok());
     }
     assert_eq!(core.inflight(), 0);
-}
-
-#[test]
-fn waker_fires_on_new_deadline_and_on_full_batch() {
-    let clock = Arc::new(VirtualClock::new());
-    let waker = Arc::new(CountingWaker::new());
-    let mut core = ServerCore::with_clock(
-        StubModel::new(),
-        vocab(),
-        test_config(),
-        Arc::clone(&clock) as Arc<dyn yollo_serve::Clock>,
-        Arc::clone(&waker) as Arc<dyn yollo_serve::Waker>,
-    );
-    let s = scene();
-    core.submit(&s, "the red circle").unwrap();
-    assert_eq!(waker.count(), 1, "first pending item arms a deadline");
-    core.submit(&s, "the blue square").unwrap();
-    assert_eq!(waker.count(), 1, "joining a pending batch needs no wake");
-    core.submit(&s, "the green triangle").unwrap();
-    assert_eq!(waker.count(), 2, "reaching max_batch wakes the worker");
 }
 
 #[test]
@@ -189,23 +168,26 @@ fn cache_hits_do_not_consume_queue_capacity() {
     assert!(hit.try_now().is_some());
 }
 
-/// The determinism acceptance criterion: a fixed arrival script produces an
-/// identical batch-boundary sequence on every one of 100 runs.
+/// The determinism acceptance criterion: a fixed arrival script, replayed
+/// by the router's event loop over one replica, produces an identical
+/// batch-boundary sequence on every one of 100 runs.
 #[test]
 fn fixed_arrival_script_is_deterministic_across_100_runs() {
     let scenes = vec![scene(), other_scene()];
     let queries = ["the red circle", "the blue square", "the green triangle"];
-    // An irregular mix of bursts (full-batch flushes), stragglers (deadline
-    // flushes) and repeats (cache hits) spread over 10 µs.
-    let mut arrivals = Vec::new();
-    for i in 0..24u64 {
-        let at_ns = i * 397 + (i % 5) * 61;
-        arrivals.push(Arrival::new(
-            at_ns,
-            (i % 2) as usize,
-            queries[(i % 3) as usize],
-        ));
-    }
+    // An irregular mix of arrivals spread over 10 µs: pairs that share a
+    // deadline flush, stragglers flushed alone, and repeats answered from
+    // the cache.
+    let arrivals: Vec<RouterArrival> = (0..24u64)
+        .map(|i| {
+            RouterArrival::new(
+                i * 397 + (i % 5) * 61,
+                (i % 2) as usize,
+                queries[(i % 3) as usize],
+                Priority::Standard,
+            )
+        })
+        .collect();
 
     let fingerprint = |_: usize| {
         let cfg = ServeConfig {
@@ -216,27 +198,41 @@ fn fixed_arrival_script_is_deterministic_across_100_runs() {
             max_tokens: 6,
             ..ServeConfig::default()
         };
-        let mut sim = Simulation::new(StubModel::new(), vocab(), cfg);
+        // One replica and no router deadline: the replica's batcher alone
+        // decides every flush.
+        let router_cfg = RouterConfig {
+            replicas: 1,
+            deadline_ns: 0,
+            ..RouterConfig::default()
+        };
+        let mut sim = RouterSim::new(router_cfg, cfg, vocab(), |_| StubModel::new());
         let report = sim.run(&scenes, &arrivals);
         assert!(report.rejected.is_empty(), "script fits the queue");
-        report
+        assert!(report.outcomes.iter().all(Result::is_ok));
+        // a request answered without a batch was a replica cache hit
+        let cache_hits = report
+            .flights
+            .iter()
+            .filter(|f| f.outcome == FlightOutcome::Ok && f.batch_id == 0)
+            .count();
+        (sim.router().replica_boundaries(0).to_vec(), cache_hits)
     };
 
-    let reference = fingerprint(0);
-    assert!(!reference.boundaries.is_empty());
-    let answered: usize = reference.boundaries.iter().map(|b| b.size).sum();
+    let (boundaries, cache_hits) = fingerprint(0);
+    assert!(!boundaries.is_empty());
+    let answered: usize = boundaries.iter().map(|b| b.size).sum();
     assert_eq!(
-        answered + reference.cache_hits,
+        answered + cache_hits,
         arrivals.len(),
         "every scripted request is either batched or cache-answered"
     );
     for run in 1..100 {
-        let report = fingerprint(run);
+        let (b, hits) = fingerprint(run);
         assert_eq!(
-            report.boundaries, reference.boundaries,
+            b, boundaries,
             "run {run} diverged from the reference boundary sequence"
         );
-        assert_eq!(report.cache_hits, reference.cache_hits);
+        assert_eq!(hits, cache_hits);
     }
 }
 
@@ -253,7 +249,6 @@ fn stub_model_counts_calls() {
             vocab(),
             test_config(),
             Arc::clone(&clock) as Arc<dyn yollo_serve::Clock>,
-            Arc::new(yollo_serve::NoopWaker),
         );
         (core, clock)
     };
@@ -276,7 +271,6 @@ fn expired_requests_are_answered_deadline_exceeded_without_touching_the_model() 
             ..test_config()
         },
         Arc::clone(&clock) as Arc<dyn yollo_serve::Clock>,
-        Arc::new(yollo_serve::NoopWaker),
     );
     let resp = core.submit(&scene(), "the red circle").unwrap();
     assert_eq!(core.inflight(), 1);

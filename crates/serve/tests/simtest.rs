@@ -1,4 +1,4 @@
-//! Simulation-testing soak properties (ISSUE 9).
+//! Soak properties of the deterministic simulation harness.
 //!
 //! The unit tests inside `src/simtest.rs` cover the harness mechanics;
 //! these integration tests drive the *properties the harness exists to

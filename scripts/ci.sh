@@ -174,7 +174,7 @@ echo "== serve: router chaos gate =="
 cargo test -q -p yollo-serve --test router
 cargo test -q -p yollo-serve --test ring_props
 
-echo "== serve: load-test smoke + trace gate =="
+echo "== serve: serving-gates smoke + trace gate =="
 # exp_serve validates its own flight/event reconciliation and span-chain
 # completeness (it aborts otherwise); the trace gate re-derives the chain
 # check from the written Chrome trace alone, so the artifact a human
@@ -218,11 +218,6 @@ python3 - <<'EOF'
 import json
 with open("BENCH_serve.json") as f:
     bench = json.load(f)
-assert bench["serial"]["throughput_rps"] > 0, "serial throughput must be nonzero"
-assert bench["loads"], "at least one offered load"
-for load in bench["loads"]:
-    assert load["throughput_rps"] > 0, "batched throughput must be nonzero"
-    assert load["requests"] > 0 and load["worker_panics"] == 0
 # Router tier: 1/2/4 replicas, each measured healthy and with replica 0
 # crash-looping. Healthy serving must not drop anything; with >= 2 replicas
 # one crash-looping replica must keep availability at >= 99%.
@@ -240,9 +235,6 @@ for row in router:
         assert row["availability"] >= 0.99, (
             f"one crash-looping replica out of {row['replicas']} must keep "
             f"availability >= 0.99: {row}")
-print("BENCH_serve.json ok:",
-      ", ".join(f"{l['offered_load']}/cache-{l['cache']}->{l['throughput_rps']:.1f} rps"
-                for l in bench["loads"]))
 print("router ok:",
       ", ".join(f"x{r['replicas']}/{r['condition']}->{r['availability']:.3f}"
                 for r in sorted(router, key=lambda r: (r['replicas'], r['condition']))))
@@ -262,26 +254,17 @@ print(f"slo ok: availability {slo['availability']:.3f}, "
       f"retry amp {slo['retry_amplification']:.2f}, "
       f"p95 total/queue/service {bd['total']['p95']}/{bd['queue']['p95']}"
       f"/{bd['service']['p95']} ns")
-# Quantized tier: the hot-loaded int8 artifact must serve, report its
-# latency histogram, and hold the accuracy budget — ACC@0.5 drift vs
-# ground truth within 1% of the f64 reference
-quant = bench["quantization"]
-row = quant["row"]
-assert row["dtype"] == "int8" and row["throughput_rps"] > 0
-assert row["requests"] > 0 and row["latency_ns"]["p99"] > 0
-# tiny scale is noisy; the >= 1.5x acceptance number is recorded at
-# standard scale in the committed BENCH_serve.json (1.7x f32 measured)
-assert quant["speedup_vs_f32"] >= 1.0, (
-    f"int8 serving slower than f32: {quant['speedup_vs_f32']:.2f}x")
-assert quant["speedup_vs_f64"] > 0
-acc = quant["accuracy"]
+# Quantized tier: the in-process int8 model must hold the accuracy
+# budget — ACC@0.5 drift vs ground truth within 1% of the f64 reference.
+# Serving speed is servebench's (ground-f32-open, ground-int8-closed,
+# route-zipf-hits), not this file's
+acc = bench["quantization"]["accuracy"]
 assert acc["pairs"] > 0
 assert acc["acc_at_05_drift"] <= 0.01 + 1e-9, (
     f"int8 ACC@0.5 drifted {acc['acc_at_05_drift']:.4f} (> 1%) from f64")
 assert 0.0 <= acc["attention_peak_agreement"] <= 1.0
-print(f"quantization ok: int8 {row['throughput_rps']:.1f} rps "
-      f"({quant['speedup_vs_f32']:.2f}x f32), "
-      f"ACC@0.5 drift {acc['acc_at_05_drift']:.4f}")
+print(f"quantization ok: ACC@0.5 drift {acc['acc_at_05_drift']:.4f}, "
+      f"attention peak agreement {acc['attention_peak_agreement']:.3f}")
 EOF
 
 echo "== serve: deterministic simulation soak gate =="
@@ -355,7 +338,7 @@ if grep -rn --include='*.rs' 'println!' crates/tensor/src crates/nn/src | grep -
     exit 1
 fi
 
-echo "== dependencies: rand only, one persistence format, no removed code paths, no f32 tape in serving, one flat GEMM =="
+echo "== dependencies: rand only, one persistence format, no removed code paths, no f32 tape in serving, one flat GEMM, one serving simulator and timer =="
 # JSON goes through yollo-obs's one value, writer and parser, and every
 # saved model, checkpoint and quantized export is a YOLLOART artifact, so
 # serde, serde_json and the old JSON model and YOLLO-CKPT checkpoint code
@@ -392,6 +375,17 @@ fi
 if grep -nE '\b(matmul_blocked|matmul_nt_scratch|finish_rows)\b' \
     crates/nn/src/quant.rs crates/backbone/src/fused.rs crates/core/src/quantized.rs; then
     echo "error: the flat pass calls a GEMM other than f32_matmul_packed" >&2
+    exit 1
+fi
+# arrival scripts replay through RouterSim, the one virtual-time event
+# loop, and nothing signals a wake hook; servebench alone times serving,
+# so exp_serve runs no throughput load of its own
+if [ -e crates/serve/src/sim.rs ] || grep -rnE '\b(Simulation|SimReport)\b|Waker' crates/serve; then
+    echo "error: a second serving simulator or the wake hook is back under crates/serve" >&2
+    exit 1
+fi
+if grep -nE 'run_load|speedup_vs_serial' crates/bench/src/bin/exp_serve.rs; then
+    echo "error: exp_serve times serving again; servebench owns serving speed" >&2
     exit 1
 fi
 
