@@ -1,5 +1,5 @@
 //! **Profiling harness** — traces one training step and times repeated
-//! inference passes, writing `BENCH_obs.json` at the repository root plus a
+//! inference passes, writing `BENCH_obs.json` under [`output_dir`] plus a
 //! Chrome `trace_event` file loadable in Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`.
 //!
@@ -13,8 +13,9 @@
 //! mode**: instead of profiling, it pushes a traced request load through
 //! the threaded serving stack and exits non-zero unless every request
 //! trace forms a causally complete span chain (one `serve.request` root
-//! per submission, all parents resolving in-trace). CI uses this as the
-//! tracing smoke gate.
+//! per submission, all parents resolving in-trace), both in memory and as
+//! read back from the written trace file. CI uses this as the tracing
+//! smoke gate.
 
 use std::collections::HashSet;
 
@@ -98,6 +99,12 @@ fn trace_validation(scale: Scale) {
     let trace_path = yollo_obs::trace_path_from_env()
         .unwrap_or_else(|| output_dir().join("trace_validation.json"));
     yollo_obs::write_chrome_trace(&trace_path, &spans).expect("can write trace");
+    let read_back = yollo_obs::read_chrome_trace(&trace_path).expect("can read trace");
+    assert_eq!(
+        validate_request_chains(&read_back),
+        Ok(summary),
+        "the trace file alone proves the same chains"
+    );
     println!("# Trace validation ({scale:?} scale)\n");
     println!(
         "{n} requests ({ok} ok): {} request chains, {} spans — all causally complete",
@@ -227,7 +234,7 @@ fn main() {
         ("inference", inference),
         ("train_step", train_step),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
+    let path = output_dir().join("BENCH_obs.json");
     std::fs::write(&path, results.pretty()).expect("can write BENCH_obs.json");
 
     println!("# Profile ({scale:?} scale)\n");

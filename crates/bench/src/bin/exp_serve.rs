@@ -1,4 +1,4 @@
-//! **Serving gates** — writes `BENCH_serve.json` at the repository root:
+//! **Serving gates** — writes `BENCH_serve.json` under [`output_dir`]:
 //! the f32 and int8 accuracy ledgers against the f64 reference, the router
 //! tier under a crash-looping replica, and the SLO accounting of a
 //! deterministic traced chaos run. Serving speed is not timed here:
@@ -22,13 +22,15 @@
 //! router: per-request flight records reconcile against the router's
 //! event log, every request trace must form a causally complete
 //! admission→outcome span chain, and the latency breakdown splits
-//! p50/p95/p99 into queue wait vs model service. Set `YOLLO_TRACE_PATH` to
-//! also write that run as a Chrome trace. `YOLLO_SCALE` selects
-//! tiny/standard/full.
+//! p50/p95/p99 into queue wait vs model service. That run is written as a
+//! Chrome trace (`trace_serve.json` under [`output_dir`], or
+//! `YOLLO_TRACE_PATH`) and read back, and the chain check runs again on
+//! the spans read from the file, so the file alone proves every chain.
+//! `YOLLO_SCALE` selects tiny/standard/full.
 
 use std::time::Instant;
 
-use yollo_bench::{dataset, Scale};
+use yollo_bench::{dataset, output_dir, Scale};
 use yollo_core::{GroundingPrediction, QuantCalibration, ReplicaFaultPlan, Yollo};
 use yollo_obs::{Json, TraceExemplars};
 use yollo_serve::{
@@ -337,9 +339,9 @@ fn main() {
     // virtual clock. Flight records split every answered request's
     // latency into queue wait vs model service, must reconcile against
     // the RouterEvent fingerprint, and the span dump must form a causally
-    // complete admission→outcome chain per request. The ci.sh trace gate
-    // reruns this at tiny scale with YOLLO_TRACE_PATH set; chain or
-    // reconciliation failures abort the binary ---
+    // complete admission→outcome chain per request, both in memory and as
+    // read back from the written trace file; chain or reconciliation
+    // failures abort the binary ---
     let slo_total = match scale {
         Scale::Tiny => 48usize,
         Scale::Standard => 128,
@@ -403,16 +405,22 @@ fn main() {
         slo_run.flights.len(),
         "one admission→outcome chain per flight record"
     );
+    let trace_path =
+        yollo_obs::trace_path_from_env().unwrap_or_else(|| output_dir().join("trace_serve.json"));
+    yollo_obs::write_chrome_trace(&trace_path, &slo_spans).expect("can write serve trace");
+    let read_back = yollo_obs::read_chrome_trace(&trace_path).expect("can read serve trace");
+    assert_eq!(
+        validate_request_chains(&read_back),
+        Ok(chains),
+        "the trace file alone proves the same chains"
+    );
+    eprintln!(
+        "slo: wrote and re-checked {} trace events in {}",
+        read_back.len(),
+        trace_path.display()
+    );
     let mut exemplars = TraceExemplars::new(3);
     exemplars.observe(&slo_spans);
-    if let Some(trace_path) = yollo_obs::trace_path_from_env() {
-        yollo_obs::write_chrome_trace(&trace_path, &slo_spans).expect("can write serve trace");
-        eprintln!(
-            "slo: wrote {} trace events to {}",
-            slo_spans.len(),
-            trace_path.display()
-        );
-    }
     let pct_json = |p: &Percentiles| {
         Json::object([
             ("p50", p.p50.into()),
@@ -484,7 +492,7 @@ fn main() {
         ("router", Json::Array(router_rows)),
         ("slo", slo_json),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let path = output_dir().join("BENCH_serve.json");
     std::fs::write(&path, results.pretty()).expect("can write BENCH_serve.json");
 
     println!("# Serving gates ({scale:?} scale)\n");

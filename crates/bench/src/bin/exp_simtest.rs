@@ -1,6 +1,7 @@
 //! **Deterministic simulation soak** — drives the virtual-clock router
 //! through millions of simulated requests in seconds of wall time and
-//! merges a `simtest` section into `BENCH_serve.json`.
+//! merges a `simtest` section into `BENCH_serve.json` under
+//! `yollo_bench::output_dir()`.
 //!
 //! Two stages:
 //!
@@ -175,7 +176,7 @@ fn main() {
     ]);
 
     // Merge, never overwrite: exp_serve owns the rest of the report.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let path = yollo_bench::output_dir().join("BENCH_serve.json");
     let mut doc = match std::fs::read_to_string(&path) {
         Ok(s) => Json::parse(&s).expect("BENCH_serve.json parses"),
         Err(_) => Json::object([]),

@@ -1,8 +1,8 @@
 //! **Tensor backend speed.** Times the blocked/parallel compute paths
 //! against the retained naive reference kernel on fixed seeds — at both
 //! dtype instantiations (`f64` = reference, `f32` = serve fast path) —
-//! and writes `BENCH_tensor.json` at the repository root: one record per
-//! (op, dtype, shape, threads) with ns/iter.
+//! and writes `BENCH_tensor.json` under `yollo_bench::output_dir()`: one
+//! record per (op, dtype, shape, threads) with ns/iter.
 //!
 //! Run with `cargo run --release -p yollo-bench --bin exp_tensor_speed`.
 //! `YOLLO_TENSOR_REPS=<n>` overrides the repetition count.
@@ -229,7 +229,11 @@ fn run_q8_suite(reps: usize, records: &mut Vec<Record>) {
     };
     eprintln!(
         "int8 kernel path: {}",
-        if q8_kernel_is_avx2() { "avx2" } else { "scalar" }
+        if q8_kernel_is_avx2() {
+            "avx2"
+        } else {
+            "scalar"
+        }
     );
     for &(m, k, n) in &[(64usize, 256usize, 64usize), (256, 1024, 256)] {
         let shape = format!("{m}x{k}x{n}");
@@ -319,7 +323,7 @@ fn main() {
         })
         .collect();
     let json = format!("[\n{}\n]\n", rows.join(",\n"));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tensor.json");
+    let path = yollo_bench::output_dir().join("BENCH_tensor.json");
     std::fs::write(&path, json).expect("can write BENCH_tensor.json");
     println!("wrote {}", path.display());
 }

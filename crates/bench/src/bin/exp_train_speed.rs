@@ -1,8 +1,8 @@
 //! **Train-step throughput.** Times the serial trainer against the
 //! data-parallel trainer (`num_shards = 4`) at 1, 2 and 4 worker threads,
 //! checks the determinism contract — final weights bit-identical across
-//! worker-thread counts — and writes `BENCH_train.json` at the repository
-//! root.
+//! worker-thread counts — and writes `BENCH_train.json` under
+//! `yollo_bench::output_dir()`.
 //!
 //! Thread scaling is reported against the machine it ran on (`cores` is
 //! recorded in the output): on a single-core box the 4-thread row measures
@@ -160,7 +160,7 @@ fn main() {
          \"weights_bitwise_equal\": {bitwise_equal}}}\n}}\n",
         row_json.join(",\n")
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train.json");
+    let path = yollo_bench::output_dir().join("BENCH_train.json");
     std::fs::write(&path, json).expect("can write BENCH_train.json");
     println!("wrote {}", path.display());
 }

@@ -307,7 +307,10 @@ pub fn train_baselines(scale: Scale, ds: &Dataset, seed: u64) -> Baselines {
     }
 }
 
-/// Directory where experiment outputs (CSV, PPM, JSON) are written.
+/// Directory where experiment outputs (CSV, PPM, JSON, traces, every
+/// `BENCH_*.json`) are written: `target/experiments` under the workspace
+/// root. The committed `BENCH_*.json` files at the root are copies of
+/// runs at the scale each file records.
 pub fn output_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     std::fs::create_dir_all(&dir).expect("can create experiment output dir");

@@ -128,8 +128,8 @@ mod tests {
         assert_eq!(g.per_cell(), 9);
         // first anchor centred on cell (0,0) => (4, 4) with stride 8
         assert_eq!(g.boxes()[0].center(), (4.0, 4.0));
-        // anchor of cell (1, 2)
-        let idx = (1 * 3 + 2) * 9;
+        // anchor of cell (1, 2): row 1 of a 3-cell-wide grid, column 2
+        let idx = (3 + 2) * 9;
         assert_eq!(g.boxes()[idx].center(), (20.0, 12.0));
         assert_eq!(g.cell_of(idx), (1, 2, 0));
     }

@@ -49,18 +49,18 @@ pub fn time_inference(mut f: impl FnMut(), warmup: usize, reps: usize) -> Timing
     times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     TimingStats {
         mean_s: times.iter().sum::<f64>() / reps as f64,
-        p50_s: nearest_rank(&times, 0.50),
-        p95_s: nearest_rank(&times, 0.95),
-        p99_s: nearest_rank(&times, 0.99),
+        p50_s: quantile(&times, 0.50),
+        p95_s: quantile(&times, 0.95),
+        p99_s: quantile(&times, 0.99),
         min_s: times[0],
         reps,
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted non-empty slice.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// The `q`-quantile of an ascending-sorted non-empty slice: its element
+/// at [`yollo_obs::nearest_rank`].
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[yollo_obs::nearest_rank(q, sorted.len() as u64) as usize - 1]
 }
 
 #[cfg(test)]
@@ -84,11 +84,11 @@ mod tests {
     #[test]
     fn nearest_rank_quantiles() {
         let times: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(nearest_rank(&times, 0.50), 50.0);
-        assert_eq!(nearest_rank(&times, 0.95), 95.0);
-        assert_eq!(nearest_rank(&times, 0.99), 99.0);
-        assert_eq!(nearest_rank(&[7.0], 0.5), 7.0);
-        assert_eq!(nearest_rank(&[7.0], 0.99), 7.0);
+        assert_eq!(quantile(&times, 0.50), 50.0);
+        assert_eq!(quantile(&times, 0.95), 95.0);
+        assert_eq!(quantile(&times, 0.99), 99.0);
+        assert_eq!(quantile(&[7.0], 0.5), 7.0);
+        assert_eq!(quantile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

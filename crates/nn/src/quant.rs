@@ -10,7 +10,7 @@
 //! training layer). A calibration pass runs the float path while a
 //! [`QuantCalibration`] observes every GEMM input's absolute maximum;
 //! [`QuantCalibration::scale_for`] then derives a conservative per-tensor
-//! activation scale from the observed range histogram, and
+//! activation scale from the largest one observed, and
 //! `quantize(&calib)` switches the layer to the INT8 kernels
 //! ([`yollo_tensor::q8_matmul_dequant`] for [`FusedLinear`],
 //! [`yollo_tensor::q8_conv_nhwc`] for [`FusedConv2d`]) with
@@ -30,27 +30,35 @@
 use std::collections::BTreeMap;
 
 use crate::artifact::{ArtifactError, ModelArtifact, TensorData, TensorRecord};
-use yollo_obs::StreamHistogram;
 use yollo_tensor::{
     f32_matmul_packed, im2row_nhwc, q8_conv_nhwc, q8_matmul_dequant, symmetric_scale, F32Panels,
     Q8Scratch, Q8Weights,
 };
 
-/// Fixed-point factor for recording activation magnitudes in the integer
-/// range histograms (2¹⁶ per unit).
+/// Fixed-point factor for recording activation magnitudes as integers
+/// (2¹⁶ per unit).
 const CALIB_FIXED_POINT: f64 = 65536.0;
+
+/// One layer's observed range: the largest absolute maximum seen (×2¹⁶
+/// fixed point, rounded up) and the number of observations.
+#[derive(Debug, Default, Clone, Copy)]
+struct ObservedRange {
+    max: u64,
+    count: u64,
+}
 
 /// Per-layer activation-range collector for post-training calibration.
 ///
-/// Each observed layer gets a log₂ range histogram
-/// ([`yollo_obs::StreamHistogram`] — unconditional, so calibration is
-/// immune to the telemetry kill switch) keyed by layer name; the same
-/// amax samples are mirrored into the global obs registry as
-/// `quant.calib.<layer>` histograms so calibration runs are inspectable
+/// Each observed layer keeps the exact running maximum of its GEMM input's
+/// absolute maxima (×2¹⁶ fixed point) and an observation count, keyed by
+/// layer name. It records unconditionally, so calibration is immune to
+/// the telemetry switch and does not depend on the telemetry histogram
+/// layout. The same samples are mirrored into the global obs registry as
+/// `quant.calib.<layer>` histograms, so calibration runs are inspectable
 /// with the normal telemetry tooling.
 #[derive(Debug, Default)]
 pub struct QuantCalibration {
-    hists: BTreeMap<String, StreamHistogram>,
+    ranges: BTreeMap<String, ObservedRange>,
 }
 
 impl QuantCalibration {
@@ -63,10 +71,9 @@ impl QuantCalibration {
     pub fn observe(&mut self, layer: &str, xs: &[f32]) {
         let amax = xs.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let fixed = (amax as f64 * CALIB_FIXED_POINT).ceil() as u64;
-        self.hists
-            .entry(layer.to_string())
-            .or_default()
-            .record(fixed);
+        let range = self.ranges.entry(layer.to_string()).or_default();
+        range.max = range.max.max(fixed);
+        range.count += 1;
         yollo_obs::registry()
             .histogram(&format!("quant.calib.{layer}"))
             .record(fixed);
@@ -74,25 +81,24 @@ impl QuantCalibration {
 
     /// Number of observations recorded for `layer`.
     pub fn observations(&self, layer: &str) -> u64 {
-        self.hists.get(layer).map_or(0, StreamHistogram::count)
+        self.ranges.get(layer).map_or(0, |r| r.count)
     }
 
     /// Layers observed so far.
     pub fn layers(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(String::as_str)
+        self.ranges.keys().map(String::as_str)
     }
 
-    /// Symmetric per-tensor activation scale for `layer`, derived from the
-    /// top occupied histogram bucket. The histogram quantile returns the
-    /// bucket's geometric middle; rounding up to the bucket's upper edge
-    /// makes the scale conservative (≤2× the true amax, so nothing clips
-    /// and at most one bit of resolution is spent).
+    /// Symmetric per-tensor activation scale for `layer`. The observed
+    /// maximum `M` (fixed point) is rounded up to the power of two above
+    /// it: 1 when `M ≤ 1`, otherwise `2^(⌊log₂ M⌋+1)`, capped at 2⁶³. That
+    /// makes the scale conservative (at most 2× the true amax, so nothing
+    /// clips and at most one bit of resolution is spent).
     pub fn scale_for(&self, layer: &str) -> Option<f32> {
-        let h = self.hists.get(layer)?;
-        if h.count() == 0 {
-            return None;
-        }
-        let upper = h.quantile(1.0).max(1).next_power_of_two();
+        let upper = match self.ranges.get(layer)?.max {
+            0 | 1 => 1,
+            m => 1u64 << (m.ilog2() + 1).min(63),
+        };
         Some(symmetric_scale((upper as f64 / CALIB_FIXED_POINT) as f32))
     }
 }
@@ -945,9 +951,62 @@ mod tests {
         let s = c.scale_for("x").expect("observed");
         // scale must cover the observed amax (no clipping)…
         assert!(s * 127.0 >= 3.7, "scale {s} clips amax 3.7");
-        // …but stay within the 2× bucket-resolution slack
+        // …but stay within the 2× power-of-two slack
         assert!(s * 127.0 <= 3.7 * 2.01, "scale {s} too loose");
         assert_eq!(c.observations("x"), 2);
         assert!(c.scale_for("never").is_none());
+    }
+
+    /// The rule calibration followed while it read the telemetry
+    /// histogram: the top log2 bucket's middle, rounded up to a power of
+    /// two.
+    fn bucket_rule_scale(observed: &[f32]) -> f32 {
+        let mut h = yollo_obs::StreamHistogram::new();
+        for &amax in observed {
+            h.record((amax as f64 * CALIB_FIXED_POINT).ceil() as u64);
+        }
+        let upper = h.quantile(1.0).max(1).next_power_of_two();
+        symmetric_scale((upper as f64 / CALIB_FIXED_POINT) as f32)
+    }
+
+    #[test]
+    fn exact_max_scale_matches_the_bucket_rule_at_its_boundaries() {
+        let amaxes = [
+            0.0,
+            2f32.powi(-17),
+            2f32.powi(-16),
+            0.5,
+            1.0,
+            3.7,
+            2f32.powi(20),
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for amax in amaxes {
+            // the maximum arrives between two smaller observations
+            let observed = [amax / 4.0, amax, amax / 2.0];
+            let mut c = QuantCalibration::new();
+            for &x in &observed {
+                c.observe("x", &[-x, x / 3.0]);
+            }
+            let got = c.scale_for("x").expect("observed");
+            let want = bucket_rule_scale(&observed);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "amax {amax}: {got} vs {want}"
+            );
+        }
+        // fixed points: ≤ 2^-16 rounds up to one unit, 3.7 to 4, and
+        // anything past 2^47 to the 2^63 cap
+        let scale_of = |amax: f32| {
+            let mut c = QuantCalibration::new();
+            c.observe("x", &[amax]);
+            c.scale_for("x").unwrap()
+        };
+        assert_eq!(scale_of(0.0), 2f32.powi(-16) / 127.0);
+        assert_eq!(scale_of(2f32.powi(-16)), 2f32.powi(-16) / 127.0);
+        assert_eq!(scale_of(3.7), 4.0 / 127.0);
+        assert_eq!(scale_of(f32::INFINITY), 2f32.powi(47) / 127.0);
     }
 }

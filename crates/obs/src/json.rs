@@ -1,8 +1,8 @@
 //! JSON for the workspace: one [`Json`] value, a compact writer (its
 //! `Display`), one pretty layout ([`Json::pretty`]) and a parser
 //! ([`Json::parse`]) that reports malformed input as a [`JsonError`]
-//! instead of panicking. The trace and snapshot writers of this crate use
-//! the same escape and float routines.
+//! instead of panicking. The trace and snapshot writers of this crate
+//! build [`Json`] values and write them with it.
 //!
 //! # Round-trip contract
 //!
@@ -219,7 +219,7 @@ fn push_str_literal(out: &mut String, s: &str) {
 
 /// Appends `s` with JSON string escaping (quotes, backslashes and control
 /// characters; everything else, non-ASCII included, verbatim).
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -235,7 +235,7 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 
 /// Appends `v` as a JSON number: shortest round-trip `{}` text, with `.0`
 /// added when it has no fraction; `null` when `v` is not finite.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
         return;

@@ -10,14 +10,16 @@
 //!   call site in a `OnceLock`, so after the first hit the fast path is one
 //!   atomic load plus one atomic RMW — no locks, no allocation. Histograms
 //!   use 64 log2-scaled buckets (one per power of two), sized for
-//!   nanosecond latencies.
+//!   nanosecond latencies, and answer quantiles by the nearest-rank rule
+//!   of [`nearest_rank`].
 //! - **Spans** ([`span!`], [`Span`]) are RAII scoped timers. Dropping a
 //!   span records a [`SpanEvent`] (name, thread id, start, duration,
 //!   parent span) into a per-thread ring buffer; each thread locks only
 //!   its own — uncontended — buffer. [`drain_spans`] collects every
 //!   thread's events and [`write_chrome_trace`] writes them in Chrome
 //!   `trace_event` JSON (one event per line; the whole file is a valid
-//!   JSON array) loadable in Perfetto / `chrome://tracing`.
+//!   JSON array) loadable in Perfetto / `chrome://tracing`;
+//!   [`read_chrome_trace`] reads such a file back into the same events.
 //! - **Traces** causally link spans across threads: a [`TraceContext`]
 //!   (trace id + parent span id) is handed across explicitly and opened
 //!   with [`span_child`], or pre-allocated ([`alloc_root`] /
@@ -28,26 +30,26 @@
 //!   [`PeriodicSnapshotter`]) turn registry [`Snapshot`]s into JSONL for
 //!   long training runs.
 //! - **JSON** ([`Json`]): the workspace's one JSON value, writer and
-//!   parser, compiled with or without the `enabled` feature; the trace and
-//!   snapshot writers below share its escape and float routines.
+//!   parser; the trace and snapshot writers build [`Json`] values and
+//!   write them with it.
 //! - **Streaming accounting** ([`Fingerprint64`], [`StreamHistogram`])
 //!   for deterministic simulations: plain single-owner accumulators that
-//!   record unconditionally (never silenced by the switches below), so a
+//!   record unconditionally (never silenced by the switch below), so a
 //!   million-event run can be reconciled and fingerprinted in constant
-//!   memory.
+//!   memory. [`StreamHistogram`] shares [`Histogram`]'s bucket layout and
+//!   quantile walk.
 //!
 //! # Switching it off
 //!
-//! Two independent switches:
-//!
-//! - **Runtime**: the `YOLLO_OBS` environment variable; `off`, `0` or
-//!   `false` disables all recording (checked once, cached — see
-//!   [`enabled`] / [`set_enabled`]).
-//! - **Compile time**: build this crate without the `enabled` feature
-//!   (`default-features = false`) and every recording call compiles to an
-//!   `#[inline]` no-op; `yollo-tensor` re-exports this as its `obs`
-//!   feature, and its `obs_overhead` test guards that instrumented kernels
-//!   stay within noise of uninstrumented ones.
+//! One switch, at runtime: the `YOLLO_OBS` environment variable; `off`,
+//! `0` or `false` disables all recording (checked once, cached — see
+//! [`enabled`] / [`set_enabled`]). Off, a probe costs one relaxed atomic
+//! load: counters, gauges and histograms keep their values, spans and
+//! trace contexts are inert, and nothing reaches a ring buffer. Handles
+//! are still registered on first use, so snapshots list them at zero.
+//! `tests/noop.rs` holds that contract, and yollo-tensor's
+//! `obs_overhead` test holds an instrumented matmul, switched off, to the
+//! speed of the bare kernel.
 //!
 //! # Metric naming convention
 //!
@@ -81,16 +83,16 @@ mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
-    registry, Counter, Gauge, HistTimer, Histogram, HistogramSnapshot, Registry, Snapshot,
-    HIST_BUCKETS,
+    nearest_rank, registry, Counter, Gauge, HistTimer, Histogram, HistogramSnapshot, Registry,
+    Snapshot, HIST_BUCKETS,
 };
 pub use sink::{JsonlFileSink, MemorySink, MetricsSink, PeriodicSnapshotter};
 pub use span::{
-    alloc_child, alloc_root, drain_spans, emit_span, now_ns, span, span_child, span_dyn,
-    span_owned, take_dropped_spans, trace_path_from_env, write_chrome_trace, Span, SpanEvent,
-    TraceContext, RING_CAPACITY,
+    alloc_child, alloc_root, drain_spans, emit_span, now_ns, read_chrome_trace, span, span_child,
+    span_dyn, span_owned, take_dropped_spans, trace_path_from_env, write_chrome_trace, Span,
+    SpanEvent, TraceContext, RING_CAPACITY,
 };
-pub use stream::{Fingerprint64, StreamHistogram, STREAM_HIST_BUCKETS};
+pub use stream::{Fingerprint64, StreamHistogram};
 pub use trace::{TraceExemplar, TraceExemplars};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -98,10 +100,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// 0 = uninitialised, 1 = on, 2 = off.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-/// Whether recording is on: the `enabled` cargo feature is compiled in and
-/// the `YOLLO_OBS` environment variable is not `off`/`0`/`false`. The env
-/// var is read once and cached; use [`set_enabled`] to override later.
-#[cfg(feature = "enabled")]
+/// Whether recording is on: the `YOLLO_OBS` environment variable is not
+/// `off`/`0`/`false`. The env var is read once and cached; use
+/// [`set_enabled`] to override later.
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -118,15 +119,8 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Always `false` when the `enabled` feature is compiled out.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
-}
-
-/// Overrides the runtime switch (tests, profiling binaries). Has no effect
-/// when the `enabled` feature is compiled out.
+/// Overrides the runtime switch (tests, profiling binaries, benchmarks
+/// that time with recording off).
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }

@@ -1,4 +1,5 @@
-//! Atomic metric primitives and the global registry.
+//! Atomic metric primitives, the global registry, and the one histogram
+//! layout that [`Histogram`] and [`crate::StreamHistogram`] share.
 //!
 //! All updates are relaxed atomic operations on `&'static` handles; the
 //! registry mutex is touched only at first registration and at snapshot
@@ -7,16 +8,61 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::json::{push_escaped, push_f64};
+use crate::Json;
 
-#[cfg(feature = "enabled")]
-use std::time::Instant;
-
-/// Number of log2-scaled histogram buckets (one per power of two of the
-/// recorded value — covers the full `u64` nanosecond range).
+/// Number of log2-scaled buckets in [`Histogram`] and
+/// [`crate::StreamHistogram`] (one per power of two of the recorded value
+/// — covers the full `u64` nanosecond range).
 pub const HIST_BUCKETS: usize = 64;
+
+/// Index of the bucket holding `v` (0 and 1 share bucket 0).
+#[inline]
+pub(crate) fn bucket_of(v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        v.ilog2() as usize
+    }
+}
+
+/// Representative value of bucket `i`: the geometric middle of `[2^i,
+/// 2^(i+1))`, capped to stay in `u64`.
+fn bucket_mid(i: usize) -> u64 {
+    if i == 0 {
+        1
+    } else if i >= 63 {
+        u64::MAX / 2 + 1
+    } else {
+        (1u64 << i) + (1u64 << (i - 1))
+    }
+}
+
+/// The 1-based nearest rank of the `q`-quantile among `n` ordered values:
+/// `max(1, ⌈q·n⌉)`, with `q` clamped to `[0, 1]` so the rank never
+/// exceeds `n` (for `n ≥ 1`).
+pub fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n.max(1))
+}
+
+/// The `q`-quantile of `total` values bucketed as `counts` (in bucket
+/// order): the representative value of the bucket holding the
+/// nearest-rank value — exact to within a factor of two. 0 when empty.
+pub(crate) fn bucket_quantile(q: f64, total: u64, counts: impl IntoIterator<Item = u64>) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let target = nearest_rank(q, total);
+    let mut cum = 0u64;
+    for (i, c) in counts.into_iter().enumerate() {
+        cum += c;
+        if cum >= target {
+            return bucket_mid(i);
+        }
+    }
+    bucket_mid(HIST_BUCKETS - 1)
+}
 
 /// A monotonically increasing event/quantity counter.
 #[derive(Debug, Default)]
@@ -32,16 +78,13 @@ impl Counter {
         }
     }
 
-    /// Adds `n`. A relaxed `fetch_add` when recording is on; an inlined
-    /// no-op when the `enabled` feature is compiled out.
+    /// Adds `n`: a relaxed `fetch_add` when recording is on, nothing
+    /// when it is off.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.value.fetch_add(n, Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one.
@@ -80,15 +123,12 @@ impl Gauge {
         }
     }
 
-    /// Stores `v` (relaxed; no-op when the `enabled` feature is off).
+    /// Stores `v` (relaxed; nothing when recording is off).
     #[inline(always)]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.bits.store(v.to_bits(), Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Last stored value.
@@ -118,29 +158,6 @@ impl Default for Histogram {
     }
 }
 
-/// Index of the bucket holding `v` (0 and 1 share bucket 0).
-#[inline]
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        v.ilog2() as usize
-    }
-}
-
-/// Representative value of bucket `i`: the geometric middle of `[2^i,
-/// 2^(i+1))`, capped to stay in `u64`.
-fn bucket_mid(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else if i >= 63 {
-        u64::MAX / 2 + 1
-    } else {
-        (1u64 << i) + (1u64 << (i - 1))
-    }
-}
-
 impl Histogram {
     /// A fresh, empty histogram.
     pub fn new() -> Self {
@@ -151,18 +168,15 @@ impl Histogram {
         }
     }
 
-    /// Records one observation (three relaxed `fetch_add`s; an inlined
-    /// no-op when the `enabled` feature is compiled out).
+    /// Records one observation: three relaxed `fetch_add`s when
+    /// recording is on, nothing when it is off.
     #[inline(always)]
     pub fn record(&self, value: u64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
             self.count.fetch_add(1, Relaxed);
             self.sum.fetch_add(value, Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
     }
 
     /// Records a duration in nanoseconds.
@@ -195,19 +209,11 @@ impl Histogram {
     /// of the bucket the nearest-rank quantile falls in — exact to within
     /// a factor of two. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Relaxed);
-            if cum >= target {
-                return bucket_mid(i);
-            }
-        }
-        bucket_mid(HIST_BUCKETS - 1)
+        bucket_quantile(
+            q,
+            self.count(),
+            self.buckets.iter().map(|b| b.load(Relaxed)),
+        )
     }
 
     fn reset(&self) {
@@ -222,29 +228,19 @@ impl Histogram {
 /// RAII timer recording its lifetime into a [`Histogram`] on drop
 /// (nanoseconds). Constructed via the [`crate::time_hist!`] macro.
 pub struct HistTimer {
-    #[cfg(feature = "enabled")]
     inner: Option<(&'static Histogram, Instant)>,
 }
 
 impl HistTimer {
-    /// Starts the timer (a unit value when recording is off).
+    /// Starts the timer (an inert one when recording is off).
     #[inline(always)]
     pub fn new(hist: &'static Histogram) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            HistTimer {
-                inner: crate::enabled().then(|| (hist, Instant::now())),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = hist;
-            HistTimer {}
+        HistTimer {
+            inner: crate::enabled().then(|| (hist, Instant::now())),
         }
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for HistTimer {
     fn drop(&mut self) {
         if let Some((hist, t0)) = self.inner.take() {
@@ -270,66 +266,38 @@ pub fn registry() -> &'static Registry {
 }
 
 impl Registry {
-    /// The counter registered as `name` (registering it on first use).
-    /// With the `enabled` feature off this returns a shared no-op handle
-    /// without touching the registry.
+    /// The counter registered as `name` (registering it on first use,
+    /// whether or not recording is on).
     pub fn counter(&self, name: &str) -> &'static Counter {
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            static NOOP: Counter = Counter::new();
-            &NOOP
+        let mut map = self.counters.lock().expect("metric registry poisoned");
+        if let Some(c) = map.get(name) {
+            return c;
         }
-        #[cfg(feature = "enabled")]
-        {
-            let mut map = self.counters.lock().expect("metric registry poisoned");
-            if let Some(c) = map.get(name) {
-                return c;
-            }
-            let leaked: &'static Counter = Box::leak(Box::default());
-            map.insert(name.to_owned(), leaked);
-            leaked
-        }
+        let leaked: &'static Counter = Box::leak(Box::default());
+        map.insert(name.to_owned(), leaked);
+        leaked
     }
 
     /// The gauge registered as `name` (see [`Registry::counter`]).
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            static NOOP: Gauge = Gauge::new();
-            &NOOP
+        let mut map = self.gauges.lock().expect("metric registry poisoned");
+        if let Some(g) = map.get(name) {
+            return g;
         }
-        #[cfg(feature = "enabled")]
-        {
-            let mut map = self.gauges.lock().expect("metric registry poisoned");
-            if let Some(g) = map.get(name) {
-                return g;
-            }
-            let leaked: &'static Gauge = Box::leak(Box::default());
-            map.insert(name.to_owned(), leaked);
-            leaked
-        }
+        let leaked: &'static Gauge = Box::leak(Box::default());
+        map.insert(name.to_owned(), leaked);
+        leaked
     }
 
     /// The histogram registered as `name` (see [`Registry::counter`]).
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            static NOOP: OnceLock<Histogram> = OnceLock::new();
-            NOOP.get_or_init(Histogram::new)
+        let mut map = self.histograms.lock().expect("metric registry poisoned");
+        if let Some(h) = map.get(name) {
+            return h;
         }
-        #[cfg(feature = "enabled")]
-        {
-            let mut map = self.histograms.lock().expect("metric registry poisoned");
-            if let Some(h) = map.get(name) {
-                return h;
-            }
-            let leaked: &'static Histogram = Box::leak(Box::default());
-            map.insert(name.to_owned(), leaked);
-            leaked
-        }
+        let leaked: &'static Histogram = Box::leak(Box::default());
+        map.insert(name.to_owned(), leaked);
+        leaked
     }
 
     /// A point-in-time copy of every registered metric, sorted by name.
@@ -449,51 +417,53 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Serialises the snapshot as one JSON object:
-    /// `{"counters":{..},"gauges":{..},"histograms":{..}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            push_escaped(&mut out, name);
-            out.push_str(&format!("\":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            push_escaped(&mut out, name);
-            out.push_str("\":");
-            push_f64(&mut out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            push_escaped(&mut out, &h.name);
-            out.push_str(&format!(
-                "\":{{\"count\":{},\"sum\":{},\"mean\":",
-                h.count, h.sum
-            ));
-            push_f64(&mut out, h.mean);
-            out.push_str(&format!(
-                ",\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.p50, h.p95, h.p99
-            ));
-        }
-        out.push_str("}}");
-        out
+    /// The snapshot as one JSON object:
+    /// `{"counters":{..},"gauges":{..},"histograms":{..}}`, each keyed by
+    /// metric name.
+    pub fn to_json(&self) -> Json {
+        let histogram = |h: &HistogramSnapshot| {
+            Json::object([
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("mean", h.mean.into()),
+                ("p50", h.p50.into()),
+                ("p95", h.p95.into()),
+                ("p99", h.p99.into()),
+            ])
+        };
+        Json::object([
+            (
+                "counters",
+                Json::Object(
+                    self.counters
+                        .iter()
+                        .map(|(n, v)| (n.clone(), (*v).into()))
+                        .collect(),
+                ),
+            ),
+            (
+                "gauges",
+                Json::Object(
+                    self.gauges
+                        .iter()
+                        .map(|(n, v)| (n.clone(), (*v).into()))
+                        .collect(),
+                ),
+            ),
+            (
+                "histograms",
+                Json::Object(
+                    self.histograms
+                        .iter()
+                        .map(|h| (h.name.clone(), histogram(h)))
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -534,6 +504,19 @@ mod tests {
         assert_eq!(bucket_of(1023), 9);
         assert_eq!(bucket_of(1024), 10);
         assert_eq!(bucket_of(u64::MAX), 63);
+    }
+
+    #[test]
+    fn nearest_rank_is_max_one_ceil_q_n() {
+        assert_eq!(nearest_rank(0.5, 4), 2);
+        assert_eq!(nearest_rank(0.95, 4), 4);
+        assert_eq!(nearest_rank(0.99, 100), 99);
+        assert_eq!(nearest_rank(0.0, 4), 1, "rank clamps up to 1");
+        assert_eq!(nearest_rank(1.0, 4), 4);
+        assert_eq!(nearest_rank(1.5, 4), 4, "q clamps to 1");
+        assert_eq!(nearest_rank(-0.5, 4), 1, "q clamps to 0");
+        assert_eq!(nearest_rank(f64::NAN, 4), 1);
+        assert_eq!(nearest_rank(0.5, u64::MAX), 1 << 63);
     }
 
     #[test]
@@ -581,7 +564,7 @@ mod tests {
                 p99: 6,
             }],
         };
-        let parsed = crate::Json::parse(&snap.to_json()).expect("valid JSON");
+        let parsed = crate::Json::parse(&snap.to_json().to_string()).expect("valid JSON");
         assert_eq!(parsed["counters"]["weird \"name\"\n"].as_u64(), Some(3));
         assert!(
             parsed["gauges"]["g"].is_null(),

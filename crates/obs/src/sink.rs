@@ -1,6 +1,6 @@
 //! Metric sinks: where registry [`Snapshot`]s go.
 
-use crate::{registry, Snapshot};
+use crate::{registry, Json, Snapshot};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -14,8 +14,8 @@ pub trait MetricsSink {
     fn emit(&mut self, step: u64, snapshot: &Snapshot) -> io::Result<()>;
 }
 
-/// Appends snapshots to a file as JSONL: one
-/// `{"step":N,"metrics":{...}}` object per line, flushed per emit so a
+/// Appends snapshots to a file as JSONL: one object per line with the
+/// `step` and the snapshot's JSON as `metrics`, flushed per emit so a
 /// killed run keeps every line written so far.
 #[derive(Debug)]
 pub struct JsonlFileSink {
@@ -36,11 +36,8 @@ impl JsonlFileSink {
 
 impl MetricsSink for JsonlFileSink {
     fn emit(&mut self, step: u64, snapshot: &Snapshot) -> io::Result<()> {
-        writeln!(
-            self.out,
-            "{{\"step\":{step},\"metrics\":{}}}",
-            snapshot.to_json()
-        )?;
+        let line = Json::object([("step", step.into()), ("metrics", snapshot.to_json())]);
+        writeln!(self.out, "{line}")?;
         self.out.flush()
     }
 }

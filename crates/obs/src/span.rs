@@ -20,22 +20,16 @@
 //! retroactively with [`emit_span`] once their duration is known.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-use crate::json::{push_escaped, push_f64};
-
-#[cfg(feature = "enabled")]
-use std::cell::RefCell;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::AtomicU64;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::Ordering::Relaxed;
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex, OnceLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
+
+use crate::Json;
 
 /// Finished spans retained per thread buffer; when a buffer is full the
 /// oldest events are overwritten (and `obs.spans.dropped` counts them).
@@ -44,8 +38,8 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// A span's position in a causal tree, safe to hand across threads: the
 /// trace it belongs to and the span that caused the work. `Copy` so it
 /// can ride in messages, jobs and queue entries without ceremony. With
-/// the `enabled` feature off (or recording off) every allocation returns
-/// [`TraceContext::NONE`] and propagation is free.
+/// recording off every allocation returns [`TraceContext::NONE`] and
+/// propagation is free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// Trace id (the root span's id), or 0 for "no trace".
@@ -87,21 +81,18 @@ pub struct SpanEvent {
     pub args: Vec<(Cow<'static, str>, u64)>,
 }
 
-#[cfg(feature = "enabled")]
 struct RingBuf {
     slots: Vec<SpanEvent>,
     /// Index of the oldest slot once the buffer has wrapped.
     head: usize,
 }
 
-#[cfg(feature = "enabled")]
 struct Ring {
     inner: Mutex<RingBuf>,
     /// Events overwritten since the last [`take_dropped_spans`].
     dropped: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 impl Ring {
     fn new() -> Self {
         Ring {
@@ -138,7 +129,6 @@ impl Ring {
     }
 }
 
-#[cfg(feature = "enabled")]
 struct Globals {
     /// Every ring ever created, for draining.
     rings: Mutex<Vec<Arc<Ring>>>,
@@ -149,7 +139,6 @@ struct Globals {
     epoch: Instant,
 }
 
-#[cfg(feature = "enabled")]
 fn globals() -> &'static Globals {
     static G: OnceLock<Globals> = OnceLock::new();
     G.get_or_init(|| Globals {
@@ -162,20 +151,11 @@ fn globals() -> &'static Globals {
 }
 
 /// Monotonic nanoseconds since the process's trace epoch (the first call
-/// into the span layer). Returns 0 when the `enabled` feature is off.
-#[cfg(feature = "enabled")]
+/// into the span layer).
 pub fn now_ns() -> u64 {
     globals().epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Monotonic nanoseconds since the trace epoch (0 with the feature off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn now_ns() -> u64 {
-    0
-}
-
-#[cfg(feature = "enabled")]
 struct Local {
     ring: Arc<Ring>,
     tid: u64,
@@ -184,7 +164,6 @@ struct Local {
     stack: Vec<(u64, u64)>,
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for Local {
     fn drop(&mut self) {
         // recycle the ring (its recorded events survive for draining)
@@ -194,12 +173,10 @@ impl Drop for Local {
     }
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
 }
 
-#[cfg(feature = "enabled")]
 fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
     LOCAL.with(|cell| {
         let mut slot = cell.borrow_mut();
@@ -232,40 +209,27 @@ fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
 /// Use for logical spans recorded later with [`emit_span`]. Returns
 /// [`TraceContext::NONE`] when recording is off.
 pub fn alloc_root() -> TraceContext {
-    #[cfg(feature = "enabled")]
-    {
-        if !crate::enabled() {
-            return TraceContext::NONE;
-        }
-        let id = globals().next_id.fetch_add(1, Relaxed) + 1;
-        TraceContext {
-            trace: id,
-            span: id,
-        }
+    if !crate::enabled() {
+        return TraceContext::NONE;
     }
-    #[cfg(not(feature = "enabled"))]
-    TraceContext::NONE
+    let id = globals().next_id.fetch_add(1, Relaxed) + 1;
+    TraceContext {
+        trace: id,
+        span: id,
+    }
 }
 
 /// Allocates a fresh span id under `parent`'s trace (a new trace when
 /// `parent` is [`TraceContext::NONE`]). Returns the child's own context —
 /// hand it onwards, then record the span with [`emit_span`].
 pub fn alloc_child(parent: TraceContext) -> TraceContext {
-    #[cfg(feature = "enabled")]
-    {
-        if !crate::enabled() {
-            return TraceContext::NONE;
-        }
-        let id = globals().next_id.fetch_add(1, Relaxed) + 1;
-        TraceContext {
-            trace: if parent.trace == 0 { id } else { parent.trace },
-            span: id,
-        }
+    if !crate::enabled() {
+        return TraceContext::NONE;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = parent;
-        TraceContext::NONE
+    let id = globals().next_id.fetch_add(1, Relaxed) + 1;
+    TraceContext {
+        trace: if parent.trace == 0 { id } else { parent.trace },
+        span: id,
     }
 }
 
@@ -281,30 +245,22 @@ pub fn emit_span(
     dur_ns: u64,
     args: &[(&'static str, u64)],
 ) {
-    #[cfg(feature = "enabled")]
-    {
-        if ctx.is_none() || !crate::enabled() {
-            return;
-        }
-        let ev = SpanEvent {
-            name: name.into(),
-            tid: with_local(|l| l.tid),
-            id: ctx.span,
-            parent: parent_span,
-            trace: ctx.trace,
-            start_ns,
-            dur_ns,
-            args: args.iter().map(|&(k, v)| (Cow::Borrowed(k), v)).collect(),
-        };
-        with_local(|l| l.ring.push(ev));
+    if ctx.is_none() || !crate::enabled() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name.into(), ctx, parent_span, start_ns, dur_ns, args);
-    }
+    let ev = SpanEvent {
+        name: name.into(),
+        tid: with_local(|l| l.tid),
+        id: ctx.span,
+        parent: parent_span,
+        trace: ctx.trace,
+        start_ns,
+        dur_ns,
+        args: args.iter().map(|&(k, v)| (Cow::Borrowed(k), v)).collect(),
+    };
+    with_local(|l| l.ring.push(ev));
 }
 
-#[cfg(feature = "enabled")]
 struct SpanRec {
     name: Cow<'static, str>,
     id: u64,
@@ -319,12 +275,10 @@ struct SpanRec {
 /// what makes parent tracking a simple thread-local stack. Cross-thread
 /// causality comes from opening with [`span_child`] instead.
 pub struct Span {
-    #[cfg(feature = "enabled")]
     rec: Option<SpanRec>,
 }
 
 impl Span {
-    #[cfg(feature = "enabled")]
     fn enter(name: Cow<'static, str>, remote: Option<TraceContext>) -> Span {
         if !crate::enabled() {
             return Span { rec: None };
@@ -355,50 +309,29 @@ impl Span {
         }
     }
 
-    #[cfg(not(feature = "enabled"))]
-    #[inline(always)]
-    fn enter(_name: Cow<'static, str>, _remote: Option<TraceContext>) -> Span {
-        Span {}
-    }
-
     /// This span's context (its trace and own id), for handing the causal
     /// link to other threads. [`TraceContext::NONE`] when recording is off.
     pub fn context(&self) -> TraceContext {
-        #[cfg(feature = "enabled")]
-        {
-            match &self.rec {
-                Some(rec) => TraceContext {
-                    trace: rec.trace,
-                    span: rec.id,
-                },
-                None => TraceContext::NONE,
-            }
+        match &self.rec {
+            Some(rec) => TraceContext {
+                trace: rec.trace,
+                span: rec.id,
+            },
+            None => TraceContext::NONE,
         }
-        #[cfg(not(feature = "enabled"))]
-        TraceContext::NONE
     }
 
     /// Attaches a key-value annotation, builder style:
     /// `span!("serve.batch").with_arg("size", n)`.
     #[must_use]
-    pub fn with_arg(self, key: &'static str, value: u64) -> Span {
-        #[cfg(feature = "enabled")]
-        {
-            let mut s = self;
-            if let Some(rec) = &mut s.rec {
-                rec.args.push((Cow::Borrowed(key), value));
-            }
-            s
+    pub fn with_arg(mut self, key: &'static str, value: u64) -> Span {
+        if let Some(rec) = &mut self.rec {
+            rec.args.push((Cow::Borrowed(key), value));
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (key, value);
-            self
-        }
+        self
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(rec) = self.rec.take() {
@@ -460,36 +393,26 @@ pub fn span_child(name: &'static str, ctx: TraceContext) -> Span {
 /// time. Threads may keep recording concurrently; their new events land in
 /// the next drain.
 pub fn drain_spans() -> Vec<SpanEvent> {
-    #[cfg(feature = "enabled")]
-    {
-        let rings: Vec<Arc<Ring>> = globals()
-            .rings
-            .lock()
-            .expect("span registry poisoned")
-            .clone();
-        let mut out: Vec<SpanEvent> = rings.iter().flat_map(|r| r.take()).collect();
-        out.sort_by_key(|e| (e.start_ns, e.id));
-        out
-    }
-    #[cfg(not(feature = "enabled"))]
-    Vec::new()
+    let rings: Vec<Arc<Ring>> = globals()
+        .rings
+        .lock()
+        .expect("span registry poisoned")
+        .clone();
+    let mut out: Vec<SpanEvent> = rings.iter().flat_map(|r| r.take()).collect();
+    out.sort_by_key(|e| (e.start_ns, e.id));
+    out
 }
 
 /// Total spans overwritten in full ring buffers since the last call
-/// (summed across threads, reset to zero). 0 with the feature off.
+/// (summed across threads, reset to zero).
 pub fn take_dropped_spans() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        globals()
-            .rings
-            .lock()
-            .expect("span registry poisoned")
-            .iter()
-            .map(|r| r.dropped.swap(0, Relaxed))
-            .sum()
-    }
-    #[cfg(not(feature = "enabled"))]
-    0
+    globals()
+        .rings
+        .lock()
+        .expect("span registry poisoned")
+        .iter()
+        .map(|r| r.dropped.swap(0, Relaxed))
+        .sum()
 }
 
 /// The trace output path from `YOLLO_TRACE_PATH`, if set.
@@ -503,7 +426,7 @@ pub fn trace_path_from_env() -> Option<PathBuf> {
 /// single valid JSON document Perfetto / `chrome://tracing` can open.
 /// Every event's `args` carries its span id, parent span id and trace id
 /// (plus any [`Span::with_arg`] annotations), so causal trees can be
-/// reassembled from the file alone.
+/// reassembled from the file alone ([`read_chrome_trace`]).
 ///
 /// If ring buffers overwrote spans since the last accounting
 /// ([`take_dropped_spans`]), a `"ph":"M"` metadata event named
@@ -519,49 +442,95 @@ pub fn write_chrome_trace(path: impl AsRef<Path>, events: &[SpanEvent]) -> io::R
         std::fs::create_dir_all(dir)?;
     }
     let dropped = take_dropped_spans();
+    let spans = events.iter().map(|e| {
+        let ids = [("id", e.id), ("parent", e.parent), ("trace", e.trace)];
+        let args = ids
+            .into_iter()
+            .chain(e.args.iter().map(|(k, v)| (k.as_ref(), *v)))
+            .map(|(k, v)| (k.to_owned(), Json::from(v)))
+            .collect();
+        Json::object([
+            ("name", e.name.as_ref().into()),
+            ("cat", "yollo".into()),
+            ("ph", "X".into()),
+            ("pid", 1u64.into()),
+            ("tid", e.tid.into()),
+            ("ts", (e.start_ns as f64 / 1000.0).into()),
+            ("dur", (e.dur_ns as f64 / 1000.0).into()),
+            ("args", Json::Object(args)),
+        ])
+    });
+    let meta = (dropped > 0).then(|| {
+        Json::object([
+            ("name", "yollo.spans_dropped".into()),
+            ("cat", "yollo".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", 0u64.into()),
+            ("args", Json::object([("dropped", dropped.into())])),
+        ])
+    });
+    let total = events.len() + usize::from(meta.is_some());
     let mut f = BufWriter::new(File::create(path)?);
     writeln!(f, "[")?;
-    let total = events.len() + usize::from(dropped > 0);
-    for (i, e) in events.iter().enumerate() {
-        let mut name = String::new();
-        push_escaped(&mut name, &e.name);
-        let mut args = format!(
-            "{{\"id\":{},\"parent\":{},\"trace\":{}",
-            e.id, e.parent, e.trace
-        );
-        for (k, v) in &e.args {
-            args.push_str(",\"");
-            push_escaped(&mut args, k);
-            args.push_str("\":");
-            args.push_str(&v.to_string());
-        }
-        args.push('}');
-        let (mut ts, mut dur) = (String::new(), String::new());
-        push_f64(&mut ts, e.start_ns as f64 / 1000.0);
-        push_f64(&mut dur, e.dur_ns as f64 / 1000.0);
+    for (i, line) in spans.chain(meta).enumerate() {
         let comma = if i + 1 == total { "" } else { "," };
-        writeln!(
-            f,
-            "{{\"name\":\"{}\",\"cat\":\"yollo\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{}}}{}",
-            name,
-            e.tid,
-            ts,
-            dur,
-            args,
-            comma
-        )?;
-    }
-    if dropped > 0 {
-        writeln!(
-            f,
-            "{{\"name\":\"yollo.spans_dropped\",\"cat\":\"yollo\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"dropped\":{dropped}}}}}"
-        )?;
+        writeln!(f, "{line}{comma}")?;
     }
     writeln!(f, "]")?;
     f.flush()
 }
 
-#[cfg(all(test, feature = "enabled"))]
+/// Reads a trace written by [`write_chrome_trace`] back into its span
+/// events, in file order, skipping metadata events. `ts` and `dur` return
+/// to exact nanoseconds (for times below 2^51 ns, about 26 days); the
+/// annotations come back in key order.
+///
+/// # Errors
+/// Returns any I/O error, and [`io::ErrorKind::InvalidData`] when the
+/// file is not such a trace.
+pub fn read_chrome_trace(path: impl AsRef<Path>) -> io::Result<Vec<SpanEvent>> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let doc = Json::parse(&std::fs::read_to_string(path)?).map_err(|e| invalid(e.to_string()))?;
+    let items = doc
+        .as_array()
+        .ok_or_else(|| invalid("a trace is a JSON array".to_owned()))?;
+    let mut events = Vec::new();
+    for (i, v) in items.iter().enumerate() {
+        if v["ph"].as_str() != Some("X") {
+            continue;
+        }
+        let bad = |field: &str| invalid(format!("trace event {i}: bad or missing `{field}`"));
+        let Json::Object(args) = &v["args"] else {
+            return Err(bad("args"));
+        };
+        let id = |key: &str| args.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+        // microseconds back to the nanoseconds they were divided from
+        let ns = |key: &str| match v[key].as_f64() {
+            Some(us) if us >= 0.0 => Ok((us * 1000.0).round() as u64),
+            _ => Err(bad(key)),
+        };
+        let mut notes = Vec::new();
+        for (k, a) in args {
+            if !matches!(k.as_str(), "id" | "parent" | "trace") {
+                notes.push((Cow::Owned(k.clone()), a.as_u64().ok_or_else(|| bad(k))?));
+            }
+        }
+        events.push(SpanEvent {
+            name: Cow::Owned(v["name"].as_str().ok_or_else(|| bad("name"))?.to_owned()),
+            tid: v["tid"].as_u64().ok_or_else(|| bad("tid"))?,
+            id: id("id")?,
+            parent: id("parent")?,
+            trace: id("trace")?,
+            start_ns: ns("ts")?,
+            dur_ns: ns("dur")?,
+            args: notes,
+        });
+    }
+    Ok(events)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -747,6 +716,67 @@ mod tests {
         // test may have contributed a drop-metadata line)
         assert_eq!(text.lines().count(), 2 + arr.len());
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn chrome_trace_reads_back_to_the_same_events() {
+        let ev = |name: &str, id, parent, start_ns, dur_ns, args: &[(&str, u64)]| SpanEvent {
+            name: Cow::Owned(name.to_owned()),
+            tid: id % 3 + 1,
+            id,
+            parent,
+            trace: 1,
+            start_ns,
+            dur_ns,
+            args: args
+                .iter()
+                .map(|&(k, v)| (Cow::Owned(k.to_owned()), v))
+                .collect(),
+        };
+        let events = vec![
+            ev("router.request", 1, 0, 0, 0, &[("seq", 0), ("outcome", 0)]),
+            ev("a \"quoted\"\n name", 2, 1, 1, 999, &[]),
+            ev("serve.exec", 3, 1, 1_234_567, 89, &[("batch", u64::MAX)]),
+            // the largest times the microsecond text still carries exactly
+            ev(
+                "late",
+                4,
+                1,
+                (1 << 51) - 1,
+                (1 << 51) - 3,
+                &[("z", 1), ("a", 2)],
+            ),
+        ];
+        let path = std::env::temp_dir()
+            .join(format!("yollo_obs_read_back_{}", std::process::id()))
+            .join("trace.json");
+        write_chrome_trace(&path, &events).unwrap();
+        let mut back = read_chrome_trace(&path).expect("reads its own trace");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let mut want = events;
+        for e in want.iter_mut().chain(back.iter_mut()) {
+            e.args.sort();
+        }
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    fn reading_a_non_trace_is_an_invalid_data_error() {
+        let dir = std::env::temp_dir().join(format!("yollo_obs_bad_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, text) in [
+            ("object.json", "{}"),
+            ("truncated.json", "[{\"ph\":\"X\""),
+            (
+                "no_args.json",
+                "[{\"ph\":\"X\",\"name\":\"a\",\"tid\":1,\"ts\":0.0,\"dur\":0.0}]",
+            ),
+        ] {
+            std::fs::write(dir.join(file), text).unwrap();
+            let err = read_chrome_trace(dir.join(file)).expect_err(file);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{file}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streaming accumulators for deterministic simulation and reconciliation.
 //!
 //! The registry metrics in [`crate::metrics`] are *observability*: atomic,
-//! globally registered, and silenced by the runtime/compile-time switches.
+//! globally registered, and silenced by the runtime switch.
 //! The types here are *accounting*: plain single-owner state that records
 //! unconditionally, so a simulation's results are bit-identical whether
 //! telemetry is on or off — which is exactly what a determinism
@@ -11,13 +11,11 @@
 //!   hash over a stream of words. Long runs keep the digest instead of the
 //!   stream: two runs agree on every event iff they agree on the digest
 //!   (up to hash collision), at 8 bytes of state.
-//! - [`StreamHistogram`] — the same 64-bucket log2 histogram shape as
-//!   [`crate::Histogram`], ungated and non-atomic, with a u128 sum so a
-//!   billion nanosecond-scale samples cannot overflow.
+//! - [`StreamHistogram`] — [`crate::Histogram`]'s bucket layout and
+//!   quantile walk, ungated and non-atomic, with a u128 sum so a billion
+//!   nanosecond-scale samples cannot overflow.
 
-/// Number of log2 buckets in a [`StreamHistogram`] (same layout as
-/// [`crate::HIST_BUCKETS`]).
-pub const STREAM_HIST_BUCKETS: usize = 64;
+use crate::metrics::{bucket_of, bucket_quantile, HIST_BUCKETS};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -73,30 +71,8 @@ impl Fingerprint64 {
     }
 }
 
-/// Index of the log2 bucket holding `v` (0 and 1 share bucket 0).
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        v.ilog2() as usize
-    }
-}
-
-/// Representative value of bucket `i`: the geometric middle of
-/// `[2^i, 2^(i+1))`, capped to stay in `u64`.
-fn bucket_mid(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else if i >= 63 {
-        u64::MAX / 2 + 1
-    } else {
-        (1u64 << i) + (1u64 << (i - 1))
-    }
-}
-
 /// An ungated, non-atomic log2 histogram for streaming percentile
-/// accounting: same bucket layout and quantile semantics as
+/// accounting: the bucket layout and quantile walk of
 /// [`crate::Histogram`] (values exact to within a factor of two), but it
 /// records unconditionally — simulation accounting must not change with
 /// the telemetry switch — and sums into a `u128`.
@@ -104,7 +80,7 @@ fn bucket_mid(i: usize) -> u64 {
 pub struct StreamHistogram {
     count: u64,
     sum: u128,
-    buckets: [u64; STREAM_HIST_BUCKETS],
+    buckets: [u64; HIST_BUCKETS],
 }
 
 impl Default for StreamHistogram {
@@ -119,7 +95,7 @@ impl StreamHistogram {
         StreamHistogram {
             count: 0,
             sum: 0,
-            buckets: [0; STREAM_HIST_BUCKETS],
+            buckets: [0; HIST_BUCKETS],
         }
     }
 
@@ -154,18 +130,7 @@ impl StreamHistogram {
     /// of the bucket the nearest-rank quantile falls in — exact to within
     /// a factor of two. Returns 0 when empty. Monotone in `q`.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            cum += b;
-            if cum >= target {
-                return bucket_mid(i);
-            }
-        }
-        bucket_mid(STREAM_HIST_BUCKETS - 1)
+        bucket_quantile(q, self.count, self.buckets)
     }
 }
 
@@ -193,9 +158,6 @@ mod tests {
         );
     }
 
-    // The gated `Histogram` records nothing when the `enabled` feature is
-    // compiled out, so the comparison only makes sense with it on.
-    #[cfg(feature = "enabled")]
     #[test]
     fn stream_histogram_matches_gated_histogram_semantics() {
         crate::set_enabled(true);

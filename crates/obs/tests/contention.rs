@@ -3,8 +3,6 @@
 //! is allowed but must be counted in `obs.spans.dropped`) and produce a
 //! trace that is well-formed JSON with no interleaved or torn records.
 
-#![cfg(feature = "enabled")]
-
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

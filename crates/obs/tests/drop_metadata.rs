@@ -4,8 +4,6 @@
 //! the drop accounting is global: any concurrent `write_chrome_trace`
 //! call would consume the counter out from under the assertions.
 
-#![cfg(feature = "enabled")]
-
 use yollo_obs::{
     drain_spans, span_owned, take_dropped_spans, write_chrome_trace, Json, RING_CAPACITY,
 };

@@ -10,8 +10,6 @@
 //! The ordering properties are seeded loops over a splitmix64 stream (this
 //! crate has no dependencies); every assertion names the case's seed.
 
-#![cfg(feature = "enabled")]
-
 use yollo_obs::Histogram;
 
 /// Splitmix64: the next value of the deterministic stream at `state`.
@@ -34,24 +32,18 @@ fn random_q(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / ((1u64 << 53) - 1) as f64
 }
 
-/// The histogram's bucket index for `v` (0 and 1 share bucket 0).
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        v.ilog2() as usize
-    }
-}
-
-/// The representative value of bucket `i`: the geometric middle of
-/// `[2^i, 2^(i+1))`, i.e. `2^i + 2^(i-1)`, capped to stay in `u64`.
-fn bucket_mid(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else if i >= 63 {
-        u64::MAX / 2 + 1
-    } else {
-        (1u64 << i) + (1u64 << (i - 1))
+/// The value `quantile(q)` must return when the nearest-rank element is
+/// `v`, stated from the value: the geometric middle `2^i + 2^(i-1)` of
+/// the power-of-two range `[2^i, 2^(i+1))` holding `v`, with 0 and 1
+/// answered by 1 and the top range capped at 2^63 to stay in `u64`.
+fn expected_mid(v: u64) -> u64 {
+    match v {
+        0 | 1 => 1,
+        _ if v >= 1 << 63 => 1 << 63,
+        _ => {
+            let low = 1u64 << v.ilog2();
+            low + low / 2
+        }
     }
 }
 
@@ -61,7 +53,7 @@ fn expected_quantile(sample: &[u64], q: f64) -> u64 {
     let mut sorted = sample.to_vec();
     sorted.sort_unstable();
     let target = ((q * sorted.len() as f64).ceil() as usize).max(1);
-    bucket_mid(bucket_of(sorted[target - 1]))
+    expected_mid(sorted[target - 1])
 }
 
 fn hist_of(sample: &[u64]) -> Histogram {
@@ -129,7 +121,7 @@ fn quantile_within_factor_two_of_true_value() {
     }
 }
 
-/// Soak: after a million heavy-tailed samples, both the gated
+/// Soak: after a million heavy-tailed samples, both the atomic
 /// [`Histogram`] and the ungated [`yollo_obs::StreamHistogram`] agree
 /// bucket-for-bucket, keep exact counts and sums, and answer monotone
 /// p50 ≤ p95 ≤ p99 ≤ p100.
@@ -137,7 +129,7 @@ fn quantile_within_factor_two_of_true_value() {
 fn quantiles_stay_ordered_after_a_million_samples() {
     const SAMPLES: u64 = 1_000_000;
     yollo_obs::set_enabled(true);
-    let gated = Histogram::new();
+    let atomic = Histogram::new();
     let mut stream = yollo_obs::StreamHistogram::new();
     // Splitmix64 with a shifted-exponent transform so the samples span
     // many log2 buckets (latency-like heavy tail).
@@ -147,11 +139,11 @@ fn quantiles_stay_ordered_after_a_million_samples() {
         let r = splitmix64(&mut state);
         // Value in [0, 2^(r % 40)) — exponent uniform, value uniform below.
         let v = (r >> 24) & ((1u64 << (r % 40)) - 1);
-        gated.record(v);
+        atomic.record(v);
         stream.record(v);
         exact_sum += v as u128;
     }
-    assert_eq!(gated.count(), SAMPLES);
+    assert_eq!(atomic.count(), SAMPLES);
     assert_eq!(stream.count(), SAMPLES);
     assert_eq!(stream.sum(), exact_sum, "streaming sum must be exact");
     let (p50, p95, p99, p100) = (
@@ -167,8 +159,8 @@ fn quantiles_stay_ordered_after_a_million_samples() {
     for q in [0.50, 0.95, 0.99, 1.0] {
         assert_eq!(
             stream.quantile(q),
-            gated.quantile(q),
-            "gated and streaming histograms diverged at q={q}"
+            atomic.quantile(q),
+            "atomic and streaming histograms diverged at q={q}"
         );
     }
 }

@@ -3,8 +3,6 @@
 //! because `Registry::reset` zeroes every metric process-wide and would
 //! race with any parallel test that records.
 
-#![cfg(feature = "enabled")]
-
 #[test]
 fn snapshot_reflects_recordings_and_reset_zeroes_them() {
     yollo_obs::set_enabled(true);
@@ -26,7 +24,7 @@ fn snapshot_reflects_recordings_and_reset_zeroes_them() {
     assert!(hs.p50 >= 500 && hs.p50 <= 2_000, "p50 = {}", hs.p50);
     assert!(snap.counter("lifecycle.absent").is_none());
 
-    let json = yollo_obs::Json::parse(&snap.to_json()).expect("snapshot JSON parses");
+    let json = yollo_obs::Json::parse(&snap.to_json().to_string()).expect("snapshot JSON parses");
     assert_eq!(json["counters"]["lifecycle.calls"].as_u64(), Some(7));
     assert_eq!(
         json["histograms"]["lifecycle.latency_ns"]["count"].as_u64(),

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use yollo_obs::{SpanEvent, StreamHistogram};
+use yollo_obs::{nearest_rank, SpanEvent, StreamHistogram};
 
 use crate::router::{Priority, RouterEvent, RouterEventKind, NO_REQUEST};
 
@@ -113,17 +113,15 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// Nearest-rank percentiles of `samples` (all zeros when empty).
+    /// Nearest-rank percentiles of `samples` (all zeros when empty; see
+    /// [`yollo_obs::nearest_rank`]).
     pub fn of(samples: &mut [u64]) -> Percentiles {
         if samples.is_empty() {
             return Percentiles::default();
         }
         samples.sort_unstable();
-        let rank = |q: f64| {
-            let n = samples.len();
-            let r = ((q * n as f64).ceil() as usize).clamp(1, n);
-            samples[r - 1]
-        };
+        let n = samples.len() as u64;
+        let rank = |q: f64| samples[nearest_rank(q, n) as usize - 1];
         Percentiles {
             p50: rank(0.50),
             p95: rank(0.95),
@@ -203,7 +201,7 @@ impl SloReport {
 }
 
 /// Streaming form of [`SloReport::from_flights`]: fixed-size state
-/// (counters plus three 64-bucket [`StreamHistogram`]s), so a
+/// (counters plus three [`StreamHistogram`]s), so a
 /// million-request soak can compute its SLO report without ever holding
 /// the flight history. The only difference from the batch form is
 /// percentile resolution: histogram percentiles are bucket-mid values
@@ -398,10 +396,10 @@ pub struct ChainSummary {
 
 /// Validates that every request trace in `spans` is causally complete:
 /// each trace has exactly one root (`router.request` or `serve.request`),
-/// every other span's parent resolves inside the same trace, the root's
-/// `attempts` arg matches the number of `router.attempt` spans, and an
-/// `Ok` outcome served by a batch has `serve.queued` / `serve.exec` spans
-/// under it.
+/// every other span's parent resolves inside the same trace, a
+/// `router.request` root carries an `outcome` arg and an `attempts` arg
+/// that matches the number of `router.attempt` spans, and an `Ok` outcome
+/// served by a batch has `serve.queued` / `serve.exec` spans under it.
 ///
 /// # Errors
 /// A human-readable description of the first broken chain.
@@ -454,7 +452,9 @@ pub fn validate_request_chains(spans: &[SpanEvent]) -> Result<ChainSummary, Stri
                 "trace {trace}: root declares {declared} attempts, {attempts} attempt spans"
             ));
         }
-        let outcome = arg(root, "outcome").unwrap_or(u64::MAX);
+        let Some(outcome) = arg(root, "outcome") else {
+            return Err(format!("trace {trace}: router.request root has no outcome"));
+        };
         let batch = arg(root, "batch").unwrap_or(0);
         if outcome == FlightOutcome::Ok.code() && batch != 0 {
             let queued = evs.iter().any(|e| e.name == "serve.queued");

@@ -177,7 +177,14 @@ fn fixed_arrival_script_is_deterministic_across_100_runs() {
     let queries = ["the red circle", "the blue square", "the green triangle"];
     // An irregular mix of arrivals spread over 10 µs: pairs that share a
     // deadline flush, stragglers flushed alone, and repeats answered from
-    // the cache.
+    // the cache. Then a burst of `max_batch` distinct, never-seen requests
+    // at one instant, which must flush as a full batch on arrival.
+    let burst = [
+        "a red circle",
+        "a blue square",
+        "a green triangle",
+        "the item",
+    ];
     let arrivals: Vec<RouterArrival> = (0..24u64)
         .map(|i| {
             RouterArrival::new(
@@ -187,6 +194,11 @@ fn fixed_arrival_script_is_deterministic_across_100_runs() {
                 Priority::Standard,
             )
         })
+        .chain(
+            burst
+                .iter()
+                .map(|&q| RouterArrival::new(20_000, 0, q, Priority::Standard)),
+        )
         .collect();
 
     let fingerprint = |_: usize| {
@@ -219,7 +231,14 @@ fn fixed_arrival_script_is_deterministic_across_100_runs() {
     };
 
     let (boundaries, cache_hits) = fingerprint(0);
-    assert!(!boundaries.is_empty());
+    let flushed = |reason| boundaries.iter().any(|b| b.reason == reason);
+    assert!(
+        flushed(FlushReason::Full) && flushed(FlushReason::Deadline),
+        "the reference sequence holds both a full and a deadline flush: {boundaries:?}"
+    );
+    assert!(boundaries
+        .iter()
+        .any(|b| (b.at_ns, b.size, b.reason) == (20_000, burst.len(), FlushReason::Full)));
     let answered: usize = boundaries.iter().map(|b| b.size).sum();
     assert_eq!(
         answered + cache_hits,

@@ -85,6 +85,15 @@ fn traced_chaos_run_has_causally_complete_chains() {
         summary.spans,
         summary.router_requests
     );
+    // A root that lost its outcome no longer ends its chain.
+    let mut cut = spans.clone();
+    let root = cut
+        .iter_mut()
+        .find(|e| e.name == "router.request")
+        .expect("a request root");
+    root.args.retain(|(k, _)| k != "outcome");
+    let err = validate_request_chains(&cut).expect_err("a root without its outcome");
+    assert!(err.contains("no outcome"), "{err}");
 
     // The flight records agree with the RouterEvent fingerprint.
     reconcile_flights(&report.flights, &report.events).expect("flights reconcile with events");

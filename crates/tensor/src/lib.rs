@@ -49,12 +49,10 @@
 //!
 //! The hot entry points (matmul, im2col, conv2d, tape push/backward, pool
 //! fan-out) are instrumented with `yollo-obs` counters, latency histograms
-//! and trace spans (`tensor.matmul`, `tensor.pool.worker`, …). The default
-//! `obs` cargo feature compiles the instrumentation in; it is further gated
-//! at runtime by the `YOLLO_OBS` environment variable, and building with
-//! `--no-default-features` compiles every probe down to a no-op — the
-//! `obs_overhead` integration test holds that variant to uninstrumented
-//! matmul performance.
+//! and trace spans (`tensor.matmul`, `tensor.pool.worker`, …), switched
+//! at runtime by the `YOLLO_OBS` environment variable. Switched off, each
+//! probe is one relaxed atomic load; the `obs_overhead` integration test
+//! holds an instrumented matmul in that state to the bare kernel's speed.
 //!
 //! # Quick example
 //!

@@ -1,12 +1,10 @@
-//! Guard: with the `obs` feature compiled out, the instrumented
-//! [`Tensor::matmul`] entry point must not be measurably slower than
-//! calling the underlying blocked kernel directly — every probe must have
-//! compiled down to a no-op.
+//! Guard: with telemetry switched off at runtime (`YOLLO_OBS=off`, or
+//! `set_enabled(false)` as here), the instrumented [`Tensor::matmul`]
+//! entry point must not be measurably slower than calling the underlying
+//! blocked kernel directly — each probe is one relaxed atomic load.
 //!
-//! Build/run with `cargo test -p yollo-tensor --no-default-features`; under
-//! the default features this whole file is compiled out (timing the enabled
-//! probes is the profiler's job, not a pass/fail gate).
-#![cfg(not(feature = "obs"))]
+//! This is its own integration-test binary (own process): the switch is
+//! process-wide, and both tests keep it off.
 
 use std::time::Instant;
 use yollo_tensor::{matmul_blocked, Tensor};
@@ -24,30 +22,49 @@ fn inputs() -> (Tensor, Tensor) {
     (a, b)
 }
 
-/// Best-of-`reps` wall time of `f` in nanoseconds, after `warmup` calls.
-fn best_of(reps: usize, warmup: usize, mut f: impl FnMut() -> Tensor) -> u64 {
+/// Wall time of one call of `f` in nanoseconds.
+fn time_once(f: &mut impl FnMut() -> Tensor) -> u64 {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Best-of-`rounds` wall times of `f` and `g` in nanoseconds, timed in
+/// alternating rounds (so both see the same machine drift) after `warmup`
+/// calls of each.
+fn best_of_alternating(
+    rounds: usize,
+    warmup: usize,
+    mut f: impl FnMut() -> Tensor,
+    mut g: impl FnMut() -> Tensor,
+) -> (u64, u64) {
     for _ in 0..warmup {
         std::hint::black_box(f());
+        std::hint::black_box(g());
     }
-    let mut best = u64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_nanos() as u64);
+    let (mut best_f, mut best_g) = (u64::MAX, u64::MAX);
+    for _ in 0..rounds {
+        best_f = best_f.min(time_once(&mut f));
+        best_g = best_g.min(time_once(&mut g));
     }
-    best
+    (best_f, best_g)
 }
 
 #[test]
-fn compiled_out_probes_add_no_matmul_overhead() {
+fn switched_off_probes_add_no_matmul_overhead() {
+    yollo_obs::set_enabled(false);
     let (a, b) = inputs();
 
-    let instr = best_of(30, 5, || a.matmul(&b));
-    let reference = best_of(30, 5, || {
-        let mut out = vec![0.0; M * N];
-        matmul_blocked(a.as_slice(), b.as_slice(), &mut out, M, K, N, 1);
-        Tensor::from_vec(out, &[M, N])
-    });
+    let (instr, reference) = best_of_alternating(
+        30,
+        5,
+        || a.matmul(&b),
+        || {
+            let mut out = vec![0.0; M * N];
+            matmul_blocked(a.as_slice(), b.as_slice(), &mut out, M, K, N, 1);
+            Tensor::from_vec(out, &[M, N])
+        },
+    );
 
     // identical math either way
     let via_api = a.matmul(&b);
@@ -60,19 +77,18 @@ fn compiled_out_probes_add_no_matmul_overhead() {
     let limit = reference + reference / 50 + 20_000;
     assert!(
         instr <= limit,
-        "instrumented matmul too slow with obs compiled out: \
+        "instrumented matmul too slow with obs switched off: \
          {instr}ns vs reference {reference}ns (limit {limit}ns)"
     );
 }
 
 #[test]
-fn compiled_out_obs_records_nothing() {
+fn switched_off_obs_records_nothing() {
+    yollo_obs::set_enabled(false);
     let (a, b) = inputs();
-    yollo_obs::set_enabled(true); // must be a no-op without the feature
-    assert!(!yollo_obs::enabled());
     let _ = a.matmul(&b);
     let snap = yollo_obs::registry().snapshot();
-    assert!(snap.counters.is_empty());
-    assert!(snap.histograms.is_empty());
+    assert!(snap.counters.iter().all(|(_, v)| *v == 0), "{snap:?}");
+    assert!(snap.histograms.iter().all(|h| h.count == 0), "{snap:?}");
     assert!(yollo_obs::drain_spans().is_empty());
 }

@@ -7,7 +7,7 @@
 //! returns the best match. Both stages are reproduced here from scratch:
 //!
 //! * [`ProposalNetwork`] — a query-*agnostic* RPN (own backbone, objectness
-//!   + box regression per anchor, NMS), the Faster-R-CNN stand-in whose
+//!   and box regression per anchor, NMS), the Faster-R-CNN stand-in whose
 //!   time Table 5 reports as "(+0.29s)";
 //! * [`RoiExtractor`] — RoI pooling of backbone features per proposal;
 //! * [`Listener`] — a joint-embedding matcher (GRU query encoder vs.

@@ -194,7 +194,8 @@ mod tests {
         let mut fm = Tensor::zeros(&[1, 1, 6, 9]);
         fm.set(&[0, 0, 2, 3], 7.0);
         let f = roi.extract(&fm, BBox::new(16.0, 8.0, 24.0, 24.0), 0.9, 72, 48);
-        assert_eq!(f.vector.numel(), 1 * 4 + 5);
+        // one channel × 4 pooled bins, plus the 5-value geometry tail
+        assert_eq!(f.vector.numel(), 4 + 5);
         // the hot cell (2,3) falls in the pooled region → some bin sees 7
         assert!(f.vector.as_slice()[..4].contains(&7.0));
         // geometry tail: cx=28/72, cy=20/48

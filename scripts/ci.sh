@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, then style/lint on the crates that own the
-# compute backend and the fault-tolerant training stack. Run from anywhere;
-# operates on the workspace root.
+# CI gate: tier-1 build + tests, the contract suites, the exp_* smokes
+# checked against baselines/tiny, then rustfmt and clippy over the whole
+# workspace. Run from anywhere; operates on the workspace root. Every
+# exp_* binary writes under target/experiments (yollo_bench::output_dir),
+# so a run leaves the checkout as it found it; the last gate checks that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+OUT=target/experiments
+STATUS_BEFORE=$(git status --porcelain 2>/dev/null || true)
 
 echo "== tier-1: release build =="
 cargo build --release --workspace
@@ -31,9 +35,9 @@ cargo test -q -p yollo-core --test parallel_train
 
 echo "== train-speed smoke =="
 YOLLO_SCALE=tiny cargo run --release -q -p yollo-bench --bin exp_train_speed
-python3 - <<'EOF'
-import json
-with open("BENCH_train.json") as f:
+python3 - "$OUT/BENCH_train.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
     bench = json.load(f)
 assert bench["rows"], "at least one timed configuration"
 modes = {r["mode"] for r in bench["rows"]}
@@ -48,7 +52,7 @@ print("BENCH_train.json ok:",
       ", ".join(f"{r['mode']}/w{r['worker_threads']}->{r['steps_per_s']:.2f} steps/s"
                 for r in bench["rows"]))
 EOF
-scripts/bench_check BENCH_train.json baselines/tiny/BENCH_train.json
+scripts/bench_check "$OUT/BENCH_train.json" baselines/tiny/BENCH_train.json
 
 echo "== trainer: no stray printing in core =="
 # training progress goes through the log/obs layers, never raw stdout
@@ -88,9 +92,9 @@ echo "== dtype: tensor-speed smoke (both instantiations) =="
 # recorded: the pool width otherwise adds `threads: N` cells on a
 # multi-core host and bench_check's row count no longer matches
 YOLLO_THREADS=1 YOLLO_TENSOR_REPS=1 cargo run --release -q -p yollo-bench --bin exp_tensor_speed
-python3 - <<'EOF'
-import json
-with open("BENCH_tensor.json") as f:
+python3 - "$OUT/BENCH_tensor.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
     rows = json.load(f)
 dtypes = {r["dtype"] for r in rows}
 assert dtypes == {"f64", "f32", "i8"}, f"unexpected dtypes: {dtypes}"
@@ -124,7 +128,7 @@ print(f"BENCH_tensor.json ok: {len(rows)} rows, "
       f"{len(by_dtype['f64'])} (op, shape, threads) cells per dtype, "
       f"int8 fused {q8_speedup:.2f}x f32")
 EOF
-scripts/bench_check BENCH_tensor.json baselines/tiny/BENCH_tensor.json
+scripts/bench_check "$OUT/BENCH_tensor.json" baselines/tiny/BENCH_tensor.json
 
 echo "== quantization: kernel bounds, artifact durability, int8 serving =="
 # seeded gamma-bound property loops of the i8 kernels against the f64
@@ -176,47 +180,14 @@ cargo test -q -p yollo-serve --test ring_props
 
 echo "== serve: serving-gates smoke + trace gate =="
 # exp_serve validates its own flight/event reconciliation and span-chain
-# completeness (it aborts otherwise); the trace gate re-derives the chain
-# check from the written Chrome trace alone, so the artifact a human
-# would open in Perfetto is itself proven complete
-SERVE_TRACE=target/experiments/trace_serve_ci.json
-YOLLO_SCALE=tiny YOLLO_TRACE_PATH="$SERVE_TRACE" cargo run --release -q -p yollo-bench --bin exp_serve
-python3 - "$SERVE_TRACE" <<'EOF'
+# completeness, then writes the traced chaos run as a Chrome trace, reads
+# the file back and re-runs the chain check on what it read (it aborts
+# otherwise), so the artifact a human would open in Perfetto is itself
+# proven complete
+YOLLO_SCALE=tiny cargo run --release -q -p yollo-bench --bin exp_serve
+python3 - "$OUT/BENCH_serve.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    events = [e for e in json.load(f) if e.get("ph") == "X"]
-by_trace = {}
-for e in events:
-    t = e["args"].get("trace", 0)
-    if t:
-        by_trace.setdefault(t, []).append(e)
-with open("BENCH_serve.json") as f:
-    slo = json.load(f)["slo"]
-roots = [e for e in events if e["name"] == "router.request"]
-assert len(roots) == slo["requests"], (
-    f"{len(roots)} router.request roots for {slo['requests']} requests")
-for root in roots:
-    trace = root["args"]["trace"]
-    evs = by_trace[trace]
-    ids = {e["args"]["id"] for e in evs}
-    # causal completeness from the artifact alone: every span's parent
-    # resolves inside its trace, and the root's declared attempt count
-    # matches the attempt spans actually present
-    for e in evs:
-        p = e["args"]["parent"]
-        assert p == 0 or p in ids, (
-            f"trace {trace}: span {e['args']['id']} has dangling parent {p}")
-    attempts = sum(1 for e in evs if e["name"] == "router.attempt")
-    assert attempts == root["args"]["attempts"], (
-        f"trace {trace}: root declares {root['args']['attempts']} attempts, "
-        f"found {attempts}")
-    assert "outcome" in root["args"], f"trace {trace}: root missing outcome"
-print(f"trace gate ok: {len(roots)} admission->outcome chains, "
-      f"{len(events)} events in {sys.argv[1]}")
-EOF
-python3 - <<'EOF'
-import json
-with open("BENCH_serve.json") as f:
     bench = json.load(f)
 # Router tier: 1/2/4 replicas, each measured healthy and with replica 0
 # crash-looping. Healthy serving must not drop anything; with >= 2 replicas
@@ -240,7 +211,7 @@ print("router ok:",
                 for r in sorted(router, key=lambda r: (r['replicas'], r['condition']))))
 # SLO accounting: the deterministic traced chaos run must answer
 # everything it accepts, split latency into queue vs service, and agree
-# with the span-chain count the trace gate just verified
+# with the span-chain count exp_serve verified from its trace file
 slo = bench["slo"]
 assert slo["requests"] > 0 and slo["accepted"] > 0
 assert slo["availability"] >= 0.99, f"chaos run lost accepted requests: {slo}"
@@ -281,9 +252,9 @@ if [ "$SIMTEST_WALL" -gt "$SIMTEST_WALL_BUDGET_S" ]; then
     echo "error: simtest smoke took ${SIMTEST_WALL}s (budget ${SIMTEST_WALL_BUDGET_S}s)" >&2
     exit 1
 fi
-python3 - <<'EOF'
-import json
-with open("BENCH_serve.json") as f:
+python3 - "$OUT/BENCH_serve.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
     sim = json.load(f)["simtest"]
 head = sim["headline"]
 assert head["requests"] >= 100_000, f"headline too small: {head['requests']}"
@@ -320,7 +291,7 @@ print(f"simtest ok: headline {head['requests']} reqs replayed bit-identically "
       f"({head['virtual_s']:.1f}s virtual in {head['wall_s']:.2f}s wall), "
       f"{len(sim['grid'])} grid cells clean")
 EOF
-scripts/bench_check BENCH_serve.json baselines/tiny/BENCH_serve.json
+scripts/bench_check "$OUT/BENCH_serve.json" baselines/tiny/BENCH_serve.json
 
 echo "== serve: no stray printing in the serving crate =="
 # the serve crate (batcher, router, health machinery) must never write to
@@ -338,7 +309,7 @@ if grep -rn --include='*.rs' 'println!' crates/tensor/src crates/nn/src | grep -
     exit 1
 fi
 
-echo "== dependencies: rand only, one persistence format, no removed code paths, no f32 tape in serving, one flat GEMM, one serving simulator and timer =="
+echo "== dependencies: rand only, one persistence format, no removed code paths, no f32 tape in serving, one flat GEMM, one serving simulator and timer, one telemetry build =="
 # JSON goes through yollo-obs's one value, writer and parser, and every
 # saved model, checkpoint and quantized export is a YOLLOART artifact, so
 # serde, serde_json and the old JSON model and YOLLO-CKPT checkpoint code
@@ -388,35 +359,61 @@ if grep -nE 'run_load|speedup_vs_serial' crates/bench/src/bin/exp_serve.rs; then
     echo "error: exp_serve times serving again; servebench owns serving speed" >&2
     exit 1
 fi
+# telemetry has one build: recording is switched at runtime (YOLLO_OBS /
+# set_enabled) only, so no compile-time obs feature, no second histogram
+# layout, and no build step without default features come back. The obs
+# manifest keeps `enabled = []` declared, inert, because servebench's
+# manifest names it
+if grep -rnE 'feature *= *"(enabled|obs)"' crates; then
+    echo "error: a compile-time telemetry cfg is back under crates/" >&2
+    exit 1
+fi
+if grep -nE 'enabled|default-features' Cargo.toml crates/*/Cargo.toml | grep -v '^crates/obs/Cargo.toml:'; then
+    echo "error: a workspace manifest names the obs feature or default-features" >&2
+    exit 1
+fi
+if grep -n '^\[features\]' crates/tensor/Cargo.toml \
+    || [ "$(sed -n '/^\[features\]/,/^\[/p' crates/obs/Cargo.toml | grep -E '^[a-z]')" != "enabled = []" ]; then
+    echo "error: yollo-tensor has features, or yollo-obs has more than the inert enabled = []" >&2
+    exit 1
+fi
+NO_DEFAULT="--no-default""-features" # split so this line does not match itself
+if grep -rn --include='*.rs' 'STREAM_HIST_BUCKETS' crates || grep -n -- "$NO_DEFAULT" scripts/ci.sh; then
+    echo "error: a second histogram layout or a build without default features is back" >&2
+    exit 1
+fi
+for f in bucket_of bucket_mid nearest_rank; do
+    DEFS=$(grep -rn --include='*.rs' -E "fn $f\b" crates | wc -l)
+    if [ "$DEFS" -ne 1 ]; then
+        echo "error: fn $f is defined $DEFS times under crates/ (want one)" >&2
+        exit 1
+    fi
+done
 
-echo "== obs: compiled-out feature builds =="
-# the telemetry crate must work with its probes compiled out, and the
-# tensor crate must pass its overhead guard in that configuration
-cargo test -q -p yollo-obs --no-default-features
-cargo test -q -p yollo-tensor --no-default-features
+echo "== obs: runtime-off contract =="
+# with recording switched off every probe is inert (noop), and an
+# instrumented matmul runs at the bare kernel's speed (obs_overhead) —
+# run explicitly so a filtered-out suite fails loudly
+cargo test -q -p yollo-obs --test noop
+cargo test -q -p yollo-tensor --test obs_overhead
 
 echo "== obs: profiling smoke =="
-TRACE_PATH=target/experiments/trace_ci.json
 # one intra-op thread, as the committed baseline was recorded: a wider pool
 # adds fan-out counters bench_check does not expect
-YOLLO_THREADS=1 YOLLO_SCALE=tiny YOLLO_TRACE_PATH="$TRACE_PATH" \
-    cargo run --release -q -p yollo-bench --bin exp_profile
+YOLLO_THREADS=1 YOLLO_SCALE=tiny cargo run --release -q -p yollo-bench --bin exp_profile
 if ! grep -q 'fn chrome_trace_creates_missing_parent_directories' crates/obs/src/span.rs; then
     echo "error: trace-directory test is missing from crates/obs/src/span.rs" >&2
     exit 1
 fi
-python3 -m json.tool BENCH_obs.json > /dev/null
-python3 -m json.tool "$TRACE_PATH" > /dev/null
-scripts/bench_check BENCH_obs.json baselines/tiny/BENCH_obs.json
+python3 -m json.tool "$OUT/trace_profile.json" > /dev/null
+scripts/bench_check "$OUT/BENCH_obs.json" baselines/tiny/BENCH_obs.json
 
 echo "== obs: serving trace-validation mode =="
 # the same binary in YOLLO_PROFILE_MODE=trace drives a traced request
 # load through the threaded server and exits non-zero unless every
-# request trace is a causally complete chain
-VALIDATE_TRACE=target/experiments/trace_validation_ci.json
-YOLLO_SCALE=tiny YOLLO_PROFILE_MODE=trace YOLLO_TRACE_PATH="$VALIDATE_TRACE" \
-    cargo run --release -q -p yollo-bench --bin exp_profile
-python3 -m json.tool "$VALIDATE_TRACE" > /dev/null
+# request trace is a causally complete chain, in memory and as read back
+# from the trace file it writes
+YOLLO_SCALE=tiny YOLLO_PROFILE_MODE=trace cargo run --release -q -p yollo-bench --bin exp_profile
 
 echo "== obs: no stray printing in the telemetry crate =="
 # the obs crate must never write to stdout; sinks and trace files only
@@ -425,10 +422,19 @@ if grep -rn --include='*.rs' 'println!' crates/obs/src; then
     exit 1
 fi
 
-echo "== rustfmt (tensor, nn, backbone, core, obs, serve) =="
-cargo fmt --check -p yollo-tensor -p yollo-nn -p yollo-backbone -p yollo-core -p yollo-obs -p yollo-serve
+echo "== rustfmt (whole workspace) =="
+cargo fmt --all --check
 
-echo "== clippy -D warnings (tensor, nn, backbone, core, obs, serve) =="
-cargo clippy -p yollo-tensor -p yollo-nn -p yollo-backbone -p yollo-core -p yollo-obs -p yollo-serve --all-targets -- -D warnings
+echo "== clippy -D warnings (whole workspace, all targets) =="
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== the checkout is as ci.sh found it =="
+# every exp_* output lands under $OUT; a committed BENCH_*.json changes
+# only when someone copies a run over it (README, "Regenerating results")
+if [ "$(git status --porcelain 2>/dev/null || true)" != "$STATUS_BEFORE" ]; then
+    echo "error: ci.sh changed files in the checkout:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "ci.sh: all gates passed"
