@@ -7,6 +7,10 @@
 //! touching the autodiff tape, with every convolution lowered through
 //! [`yollo_nn::FusedConv2d`] so the whole stack can be calibrated and
 //! post-training-quantized to INT8 in one pass.
+//!
+//! [`FusedBackbone::forward`] takes one image at a time: its scratch (the
+//! stage activations and every convolution's patch rows) is sized by one
+//! image, whatever the batch the caller serves.
 
 use yollo_nn::{ArtifactError, FusedConv2d, FusedScratch, ModelArtifact, QuantCalibration};
 
@@ -18,6 +22,7 @@ pub struct FusedBackboneScratch {
     a: Vec<f32>,
     b: Vec<f32>,
     c: Vec<f32>,
+    d: Vec<f32>,
 }
 
 /// One fused backbone stage (see `Stage` in `model.rs` for the math).
@@ -30,12 +35,11 @@ pub struct FusedStage {
 }
 
 impl FusedStage {
-    /// Runs the stage on NHWC input, returning the output spatial size.
+    /// Runs the stage on one NHWC image, returning the output spatial size.
     #[allow(clippy::too_many_arguments)]
     fn forward(
         &self,
         x: &[f32],
-        n: usize,
         h: usize,
         w: usize,
         out: &mut Vec<f32>,
@@ -46,7 +50,7 @@ impl FusedStage {
         let mut t = std::mem::take(&mut s.a);
         let (oh, ow) = self.conv1.forward(
             x,
-            n,
+            1,
             h,
             w,
             true,
@@ -57,7 +61,7 @@ impl FusedStage {
         );
         self.conv2.forward(
             &t,
-            n,
+            1,
             oh,
             ow,
             false,
@@ -70,7 +74,7 @@ impl FusedStage {
             let mut scb = std::mem::take(&mut s.b);
             sc.forward(
                 x,
-                n,
+                1,
                 h,
                 w,
                 false,
@@ -90,7 +94,7 @@ impl FusedStage {
         for (a, b) in &self.identities {
             a.forward(
                 out,
-                n,
+                1,
                 oh,
                 ow,
                 true,
@@ -102,7 +106,7 @@ impl FusedStage {
             let mut z = std::mem::take(&mut s.b);
             b.forward(
                 &t,
-                n,
+                1,
                 oh,
                 ow,
                 false,
@@ -168,41 +172,56 @@ impl FusedBackbone {
         self.out_channels
     }
 
-    /// Extracts NHWC features from an NHWC image batch, returning the
-    /// output spatial size. `calib`, when set, forces the float path and
-    /// records every convolution's GEMM input range.
+    /// Output spatial size for an `h`×`w` input: each stage's strided
+    /// first convolution sets its output size.
+    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        self.stages
+            .iter()
+            .fold((h, w), |(h, w), st| st.conv1.output_hw(h, w))
+    }
+
+    /// Extracts one NHWC image's features and appends them to `out`
+    /// (`[oh, ow, out_channels]`, see [`FusedBackbone::output_hw`]). The
+    /// first stage reads `x` in place. `calib`, when set, forces the float
+    /// path and records every convolution's GEMM input range.
     ///
     /// # Panics
-    /// Panics if `x.len() != n · h · w · in_channels`.
+    /// Panics if `x.len() != h · w · in_channels`.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
         x: &[f32],
-        n: usize,
         h: usize,
         w: usize,
         out: &mut Vec<f32>,
         threads: usize,
         scratch: &mut FusedBackboneScratch,
         mut calib: Option<&mut QuantCalibration>,
-    ) -> (usize, usize) {
+    ) {
         assert_eq!(
             x.len(),
-            n * h * w * self.in_channels,
+            h * w * self.in_channels,
             "fused backbone: bad input len"
         );
         let mut cur = std::mem::take(&mut scratch.c);
-        cur.clear();
-        cur.extend_from_slice(x);
+        let mut next = std::mem::take(&mut scratch.d);
         let (mut ch, mut cw) = (h, w);
-        for st in &self.stages {
-            let (oh, ow) = st.forward(&cur, n, ch, cw, out, threads, scratch, calib.as_deref_mut());
-            std::mem::swap(&mut cur, out);
-            (ch, cw) = (oh, ow);
+        for (i, st) in self.stages.iter().enumerate() {
+            let input = if i == 0 { x } else { &cur };
+            (ch, cw) = st.forward(
+                input,
+                ch,
+                cw,
+                &mut next,
+                threads,
+                scratch,
+                calib.as_deref_mut(),
+            );
+            std::mem::swap(&mut cur, &mut next);
         }
-        std::mem::swap(&mut cur, out);
+        out.extend_from_slice(if self.stages.is_empty() { x } else { &cur });
         scratch.c = cur;
-        (ch, cw)
+        scratch.d = next;
     }
 
     /// Quantizes every convolution using calibrated input scales.

@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 
-use yollo_bench::{dataset, output_dir, Scale};
+use yollo_bench::{checkout_relative, dataset, output_dir, Scale};
 use yollo_core::{TrainConfig, Trainer, Yollo};
 use yollo_eval::time_inference;
 use yollo_obs::{Json, Snapshot};
@@ -229,7 +229,7 @@ fn main() {
     ]);
     let results = Json::object([
         ("scale", format!("{scale:?}").into()),
-        ("trace_path", trace_path.display().to_string().into()),
+        ("trace_path", checkout_relative(&trace_path).into()),
         ("trace_events", events.len().into()),
         ("inference", inference),
         ("train_step", train_step),

@@ -8,6 +8,7 @@
 //! `YOLLO_TENSOR_REPS=<n>` overrides the repetition count.
 
 use std::time::Instant;
+use yollo_obs::Json;
 use yollo_tensor::{
     im2col_into, matmul_blocked, matmul_naive, matmul_nt_scratch, matmul_tn_scratch, parallel,
     q8_kernel_is_avx2, q8_matmul, q8_matmul_dequant, quantize_activations, symmetric_scale,
@@ -313,17 +314,21 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"op\": \"{}\", \"dtype\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"ns_per_iter\": {:.0}}}",
-                r.op, r.dtype, r.shape, r.threads, r.ns_per_iter
-            )
-        })
-        .collect();
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
+    let rows = Json::Array(
+        records
+            .iter()
+            .map(|r| {
+                Json::object([
+                    ("op", r.op.into()),
+                    ("dtype", r.dtype.into()),
+                    ("shape", r.shape.clone().into()),
+                    ("threads", r.threads.into()),
+                    ("ns_per_iter", (r.ns_per_iter.round() as u64).into()),
+                ])
+            })
+            .collect(),
+    );
     let path = yollo_bench::output_dir().join("BENCH_tensor.json");
-    std::fs::write(&path, json).expect("can write BENCH_tensor.json");
+    std::fs::write(&path, rows.pretty()).expect("can write BENCH_tensor.json");
     println!("wrote {}", path.display());
 }

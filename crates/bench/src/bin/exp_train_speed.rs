@@ -17,6 +17,7 @@ use std::time::Instant;
 use yollo_bench::Scale;
 use yollo_core::{TrainConfig, Trainer, Yollo, YolloConfig};
 use yollo_nn::Module;
+use yollo_obs::Json;
 use yollo_synthref::{Dataset, DatasetKind};
 
 struct Row {
@@ -140,27 +141,39 @@ fn main() {
     println!("parallel(4 shards, 4 workers) vs serial:  {speedup_vs_serial:.2}x");
     println!("weights bitwise-equal across 1/2/4 worker threads: {bitwise_equal}");
 
-    let row_json: Vec<String> = rows
+    let row_json = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"mode\": \"{}\", \"num_shards\": {}, \"worker_threads\": {}, \
-                 \"ns_per_step\": {:.0}, \"steps_per_s\": {:.3}}}",
-                r.mode, r.num_shards, r.worker_threads, r.ns_per_step, r.steps_per_s
-            )
+            Json::object([
+                ("mode", r.mode.into()),
+                ("num_shards", r.num_shards.into()),
+                ("worker_threads", r.worker_threads.into()),
+                ("ns_per_step", (r.ns_per_step.round() as u64).into()),
+                ("steps_per_s", r.steps_per_s.into()),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"scale\": \"{scale_name}\",\n  \"cores\": {cores},\n  \
-         \"iterations_timed\": {iterations},\n  \"batch_size\": {batch_size},\n  \
-         \"rows\": [\n{}\n  ],\n  \
-         \"speedup_4_workers_vs_1_worker\": {speedup_vs_one_thread:.3},\n  \
-         \"speedup_4_workers_vs_serial\": {speedup_vs_serial:.3},\n  \
-         \"determinism\": {{\"num_shards\": {shards}, \"worker_threads\": [1, 2, 4], \
-         \"weights_bitwise_equal\": {bitwise_equal}}}\n}}\n",
-        row_json.join(",\n")
-    );
+    let json = Json::object([
+        ("scale", scale_name.into()),
+        ("cores", cores.into()),
+        ("iterations_timed", iterations.into()),
+        ("batch_size", batch_size.into()),
+        ("rows", Json::Array(row_json)),
+        (
+            "speedup_4_workers_vs_1_worker",
+            speedup_vs_one_thread.into(),
+        ),
+        ("speedup_4_workers_vs_serial", speedup_vs_serial.into()),
+        (
+            "determinism",
+            Json::object([
+                ("num_shards", shards.into()),
+                ("worker_threads", vec![1usize, 2, 4].into()),
+                ("weights_bitwise_equal", bitwise_equal.into()),
+            ]),
+        ),
+    ]);
     let path = yollo_bench::output_dir().join("BENCH_train.json");
-    std::fs::write(&path, json).expect("can write BENCH_train.json");
+    std::fs::write(&path, json.pretty()).expect("can write BENCH_train.json");
     println!("wrote {}", path.display());
 }

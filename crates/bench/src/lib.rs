@@ -317,9 +317,32 @@ pub fn output_dir() -> std::path::PathBuf {
     dir
 }
 
+/// `path` as a report records it: relative to the workspace root when it
+/// lies inside the checkout, so a committed report names no machine's
+/// directories; otherwise as given. `path` must exist.
+pub fn checkout_relative(path: &std::path::Path) -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    match (root.canonicalize(), path.canonicalize()) {
+        (Ok(root), Ok(full)) => match full.strip_prefix(&root) {
+            Ok(rel) => rel.display().to_string(),
+            Err(_) => full.display().to_string(),
+        },
+        _ => path.display().to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reports_record_checkout_paths_relative_to_the_root() {
+        assert_eq!(checkout_relative(&output_dir()), "target/experiments");
+        let outside = std::env::temp_dir()
+            .canonicalize()
+            .expect("temp dir exists");
+        assert_eq!(checkout_relative(&outside), outside.display().to_string());
+    }
 
     #[test]
     fn scale_from_env_defaults_to_standard() {

@@ -11,6 +11,15 @@
 //! float layers, and only the final box decode happens in `f64`. In float
 //! mode it is the `f32` serving path; quantized, it is the INT8 one.
 //!
+//! The convolutions run one image at a time: each image is laid out NHWC
+//! on its own and runs the backbone, appending its feature rows, and after
+//! the Rel2Att stack the head's four convolutions run per image into that
+//! image's slice of the anchor outputs. So their scratch (the patch rows
+//! above all) is sized by one image at any batch size. The projection, the
+//! Rel2Att FFNs and the relation map run over the whole batch's rows.
+//! Every GEMM output row is one in-order chain and every convolution reads
+//! one image, so each sample answers bit for bit as it does alone.
+//!
 //! The lifecycle is calibrate → quantize → (export / serve):
 //!
 //! ```no_run
@@ -85,7 +94,9 @@ pub(crate) struct FusedHead {
 pub struct QuantizedScratch {
     bb: FusedBackboneScratch,
     fused: FusedScratch,
+    /// One image's NHWC pixels.
     nhwc: Vec<f32>,
+    /// `[B·m, C4]` backbone features, appended image by image.
     feat: Vec<f32>,
     v: Vec<f32>,
     vtmp: Vec<f32>,
@@ -106,6 +117,8 @@ pub struct QuantizedScratch {
     att: Vec<f32>,
     /// `[B, m]` last-layer attention logits.
     att_last: Vec<f32>,
+    /// One image's head activations; `h1` also stages its `cls` and `reg`
+    /// outputs once `conv2` has read it.
     h1: Vec<f32>,
     h2: Vec<f32>,
     /// `[B, A]` anchor logits.
@@ -245,31 +258,36 @@ impl QuantizedYollo {
         let d = cfg.d_rel;
         let n = cfg.max_query_len;
 
-        // --- NCHW f64 → NHWC f32, once ---
-        s.nhwc.clear();
-        s.nhwc.resize(bsz * h * w * c, 0.0);
+        // --- per image: NCHW f64 → NHWC f32, backbone → its feature rows.
+        // One image at a time, so the convolutions' scratch is sized by one
+        // image whatever the batch; the geometry comes from the layers, so
+        // an empty batch still decodes ---
+        let (fh, fw) = self.backbone.output_hw(h, w);
+        let m = fh * fw;
         let src = images.as_slice();
+        s.nhwc.clear();
+        s.nhwc.resize(h * w * c, 0.0);
+        s.feat.clear();
         for bi in 0..bsz {
+            // every pixel of `nhwc` is overwritten
             for ci in 0..c {
                 let plane = &src[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w];
                 for (p, &v) in plane.iter().enumerate() {
-                    s.nhwc[(bi * h * w + p) * c + ci] = v as f32;
+                    s.nhwc[p * c + ci] = v as f32;
                 }
             }
+            self.backbone.forward(
+                &s.nhwc,
+                h,
+                w,
+                &mut s.feat,
+                threads,
+                &mut s.bb,
+                calib.as_deref_mut(),
+            );
         }
 
-        // --- backbone + projection → V = [B·m, d] ---
-        let (fh, fw) = self.backbone.forward(
-            &s.nhwc,
-            bsz,
-            h,
-            w,
-            &mut s.feat,
-            threads,
-            &mut s.bb,
-            calib.as_deref_mut(),
-        );
-        let m = fh * fw;
+        // --- projection → V = [B·m, d] ---
         self.proj.forward(
             &s.feat,
             bsz * m,
@@ -460,51 +478,49 @@ impl QuantizedYollo {
             }
         }
 
-        // --- detection head: V is already the NHWC feature map [B,fh,fw,d] ---
-        self.head.conv1.forward(
-            &s.v,
-            bsz,
-            fh,
-            fw,
-            true,
-            &mut s.h1,
-            threads,
-            &mut s.fused,
-            calib.as_deref_mut(),
-        );
-        self.head.conv2.forward(
-            &s.h1,
-            bsz,
-            fh,
-            fw,
-            true,
-            &mut s.h2,
-            threads,
-            &mut s.fused,
-            calib.as_deref_mut(),
-        );
-        self.head.cls.forward(
-            &s.h2,
-            bsz,
-            fh,
-            fw,
-            false,
-            &mut s.cls,
-            threads,
-            &mut s.fused,
-            calib.as_deref_mut(),
-        );
-        self.head.reg.forward(
-            &s.h2,
-            bsz,
-            fh,
-            fw,
-            false,
-            &mut s.reg,
-            threads,
-            &mut s.fused,
-            calib,
-        );
+        // --- detection head, one image at a time: each image's rows of V
+        // are its NHWC feature map [fh, fw, d]; cls and reg append that
+        // image's anchors, staged in h1 once conv2 has read it ---
+        s.cls.clear();
+        s.reg.clear();
+        for bi in 0..bsz {
+            self.head.conv1.forward(
+                &s.v[bi * m * d..(bi + 1) * m * d],
+                1,
+                fh,
+                fw,
+                true,
+                &mut s.h1,
+                threads,
+                &mut s.fused,
+                calib.as_deref_mut(),
+            );
+            self.head.conv2.forward(
+                &s.h1,
+                1,
+                fh,
+                fw,
+                true,
+                &mut s.h2,
+                threads,
+                &mut s.fused,
+                calib.as_deref_mut(),
+            );
+            for (conv, dst) in [(&self.head.cls, &mut s.cls), (&self.head.reg, &mut s.reg)] {
+                conv.forward(
+                    &s.h2,
+                    1,
+                    fh,
+                    fw,
+                    false,
+                    &mut s.h1,
+                    threads,
+                    &mut s.fused,
+                    calib.as_deref_mut(),
+                );
+                dst.extend_from_slice(&s.h1);
+            }
+        }
         m
     }
 
@@ -906,27 +922,35 @@ mod tests {
         }
     }
 
+    /// The float and int8 flat twins of `model`, int8 calibrated on the b8
+    /// val batch.
+    fn flat_pair(model: &Yollo, ds: &Dataset) -> [(&'static str, QuantizedYollo); 2] {
+        let (images, queries, _) = val_batch(model, ds);
+        let mut int8 = model.fused();
+        let mut calib = QuantCalibration::new();
+        int8.calibrate(&images, &queries, &mut calib);
+        int8.quantize(&calib);
+        [("float", model.fused()), ("int8", int8)]
+    }
+
+    /// Every bit of a prediction: box, score and attention.
+    fn pred_bits(p: &GroundingPrediction) -> Vec<u64> {
+        let b = p.bbox;
+        [b.x, b.y, b.w, b.h, p.score]
+            .into_iter()
+            .chain(p.attention.iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
     /// One scratch reused across batches that shrink and grow again (the
     /// sizes a serving worker sees) answers bit for bit as a fresh one, in
     /// float and in int8 mode.
     #[test]
     fn scratch_reuse_is_equivalent() {
         let (model, ds) = tiny();
-        let (images, queries, _) = val_batch(&model, &ds);
-        let mut int8 = model.fused();
-        let mut calib = QuantCalibration::new();
-        int8.calibrate(&images, &queries, &mut calib);
-        int8.quantize(&calib);
-        let bits = |p: &GroundingPrediction| {
-            let b = p.bbox;
-            [b.x, b.y, b.w, b.h, p.score]
-                .into_iter()
-                .chain(p.attention.iter().copied())
-                .map(f64::to_bits)
-                .collect::<Vec<u64>>()
-        };
         let val = ds.samples(Split::Val);
-        for (mode, flat) in [("float", model.fused()), ("int8", int8)] {
+        for (mode, flat) in flat_pair(&model, &ds) {
             let mut s = QuantizedScratch::default();
             for (batch, skip) in [(8, 0), (1, 5), (3, 2), (8, 0)] {
                 let samples: Vec<_> = val.iter().skip(skip).take(batch).collect();
@@ -936,9 +960,69 @@ mod tests {
                 let reused = flat.predict_batch_with(&images, &queries, &mut s);
                 assert_eq!(reused.len(), batch);
                 for (i, (a, b)) in fresh.iter().zip(&reused).enumerate() {
-                    assert_eq!(bits(a), bits(b), "{mode} b{batch} sample {i}");
+                    assert_eq!(pred_bits(a), pred_bits(b), "{mode} b{batch} sample {i}");
                 }
             }
+        }
+    }
+
+    /// Each sample of a b8 batch answers bit for bit as it does alone at
+    /// b1, in float and in int8 mode: every GEMM output row is one in-order
+    /// chain over its inputs, each convolution reads one image, and the
+    /// relation map and norms are per sample. A server batches whatever
+    /// arrives together, so no answer may depend on its batch mates. An
+    /// empty batch answers nothing.
+    #[test]
+    fn batched_samples_answer_as_they_do_alone() {
+        let (model, ds) = tiny();
+        let (images, queries, _) = val_batch(&model, &ds);
+        let val: Vec<_> = ds.samples(Split::Val).iter().take(8).collect();
+        let cfg = model.config();
+        let (c, h, w) = (cfg.in_channels, cfg.image_height, cfg.image_width);
+        for (mode, flat) in flat_pair(&model, &ds) {
+            let batched = flat.predict_batch(images.clone(), &queries);
+            assert_eq!(batched.len(), 8);
+            for (i, sample) in val.iter().enumerate() {
+                let (image, query, _) = model.encode_batch(&ds, &[*sample]);
+                let alone = flat.predict_batch(image, &query);
+                assert_eq!(
+                    pred_bits(&batched[i]),
+                    pred_bits(&alone[0]),
+                    "{mode} sample {i}: b8 answer differs from b1"
+                );
+            }
+            assert!(flat
+                .predict_batch(Tensor::zeros(&[0, c, h, w]), &[])
+                .is_empty());
+        }
+    }
+
+    /// The convolutions run one image at a time, so after a b8 batch none
+    /// of the scratch buffers they read or write holds more than after a
+    /// b1 batch: the NHWC input, both patch-row buffers and the head's
+    /// activations. (The int8 code buffers inside `Q8Scratch` are sized by
+    /// the same calls.)
+    #[test]
+    fn conv_scratch_does_not_grow_with_the_batch() {
+        let (model, ds) = tiny();
+        let (images, queries, _) = val_batch(&model, &ds);
+        let first = &ds.samples(Split::Val)[0];
+        let (image, query, _) = model.encode_batch(&ds, &[first]);
+        let held = |s: &QuantizedScratch| {
+            [
+                ("nhwc", s.nhwc.capacity()),
+                ("backbone rows", s.bb.fused.rows.capacity()),
+                ("head rows", s.fused.rows.capacity()),
+                ("h1", s.h1.capacity()),
+                ("h2", s.h2.capacity()),
+            ]
+        };
+        for (mode, flat) in flat_pair(&model, &ds) {
+            let mut s = QuantizedScratch::default();
+            flat.predict_batch_with(&image, &query, &mut s);
+            let after_b1 = held(&s);
+            flat.predict_batch_with(&images, &queries, &mut s);
+            assert_eq!(held(&s), after_b1, "{mode}: a b8 batch grew the scratch");
         }
     }
 }

@@ -329,8 +329,10 @@ pub struct Q8Scratch {
 /// `out[m, out] = dequant(codes[m, k] × w_qᵀ)`: the i16 GEMM over codes
 /// from [`quantize_activations`], each element the exact i32 dot product
 /// stored as `acc · (x_scale · s_w[o]) (+ bias[o]) (then ReLU)`. Row bands
-/// fan out over `threads` workers; the bits do not depend on `threads` or
-/// on the dispatch path.
+/// fan out over `threads` workers once the problem reaches
+/// [`parallel::PAR_MATMUL_MIN_FLOPS`] multiply-adds, as in
+/// [`crate::f32_matmul_packed`]; the bits do not depend on `threads` or on
+/// the dispatch path.
 ///
 /// # Panics
 /// Panics if `codes`, `bias` or `out` do not match `m` and the weight dims.
@@ -351,7 +353,7 @@ pub fn q8_matmul(
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "q8_matmul: bad bias length");
     }
-    if m == 0 {
+    if m == 0 || n == 0 {
         return;
     }
     let ep = Epilogue {
@@ -360,9 +362,7 @@ pub fn q8_matmul(
         relu,
     };
     let use_avx2 = avx2_available();
-    let rows_per = parallel::chunk_len_for(m, threads);
-    parallel::for_each_chunk_in(threads, out, rows_per * n, |ci, band| {
-        let r0 = ci * rows_per;
+    let run = |r0: usize, band: &mut [f32]| {
         let xb = &codes[r0 * k..(r0 + band.len() / n) * k];
         if use_avx2 {
             // SAFETY: gated on runtime AVX2 detection. `band_avx2` asserts
@@ -376,6 +376,14 @@ pub fn q8_matmul(
         } else {
             band_portable(xb, w, &ep, band);
         }
+    };
+    if threads <= 1 || m * k * n < parallel::PAR_MATMUL_MIN_FLOPS || m < 2 {
+        run(0, out);
+        return;
+    }
+    let rows_per = parallel::chunk_len_for(m, threads);
+    parallel::for_each_chunk_in(threads, out, rows_per * n, |ci, band| {
+        run(ci * rows_per, band)
     });
 }
 

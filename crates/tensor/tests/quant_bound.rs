@@ -12,15 +12,16 @@
 //! plus f32 dequantization slop. The properties below check that bound
 //! element-wise on random matmuls and on the serving convolution
 //! ([`q8_conv_nhwc`]), and that the quantized layer is bitwise independent
-//! of the thread count (integer adds are exact, so blocking cannot change
-//! results).
+//! of the thread count and of how a caller splits its rows (integer adds
+//! are exact, so blocking cannot change results).
 //!
 //! Each property is a seeded loop whose assertions name the failing seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yollo_tensor::{
-    q8_conv_nhwc, q8_matmul_dequant, symmetric_scale, Q8Scratch, Q8Weights, Q8_MAX,
+    parallel, q8_conv_nhwc, q8_matmul, q8_matmul_dequant, quantize_activations, symmetric_scale,
+    Q8Scratch, Q8Weights, Q8_MAX,
 };
 
 /// Allowed error for one output element: the analytic γ bound plus slop
@@ -224,9 +225,32 @@ fn int8_conv_meets_gamma_bound() {
     }
 }
 
+/// `[m, k]` activations in [-8, 8) and `[out, k]` weight rows in [-4, 4),
+/// hashed from one drawn seed, with the rows quantized and the
+/// activations' symmetric scale.
+fn hashed_matmul(m: usize, k: usize, out: usize, seed_x: u64) -> (Vec<f32>, Q8Weights, f32) {
+    let x: Vec<f32> = (0..m * k)
+        .map(|i| {
+            ((((i as u64) ^ seed_x).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 / 1000.0)
+                - 8.0
+        })
+        .collect();
+    let w_rows: Vec<f32> = (0..out * k)
+        .map(|i| {
+            ((((i as u64).wrapping_add(3) ^ seed_x).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
+                as f32
+                / 2000.0)
+                - 4.0
+        })
+        .collect();
+    let xs = symmetric_scale(amax(&x));
+    (x, Q8Weights::quantize_rows(&w_rows, out, k), xs)
+}
+
 /// The i16 GEMM accumulates in exact i32 and dequantizes each element on
 /// its own, so the quantized layer is bitwise identical for every thread
-/// count.
+/// count. These shapes stay under the fan-out threshold, so every width
+/// takes the serial path; the next property runs above it.
 #[test]
 fn int8_matmul_is_thread_count_invariant() {
     for seed in 0..24 {
@@ -236,23 +260,7 @@ fn int8_matmul_is_thread_count_invariant() {
             rng.gen_range(1..40),
             rng.gen_range(1..36),
         );
-        let seed_x: u64 = rng.gen();
-        let x: Vec<f32> = (0..m * k)
-            .map(|i| {
-                ((((i as u64) ^ seed_x).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 / 1000.0)
-                    - 8.0
-            })
-            .collect();
-        let w_rows: Vec<f32> = (0..out * k)
-            .map(|i| {
-                ((((i as u64).wrapping_add(3) ^ seed_x).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
-                    as f32
-                    / 2000.0)
-                    - 4.0
-            })
-            .collect();
-        let wq = Q8Weights::quantize_rows(&w_rows, out, k);
-        let xs = symmetric_scale(amax(&x));
+        let (x, wq, xs) = hashed_matmul(m, k, out, rng.gen());
         let bias: Vec<f32> = (0..out).map(|o| o as f32 * 0.01 - 0.1).collect();
         let mut scratch = Q8Scratch::default();
         let mut reference = Vec::new();
@@ -287,5 +295,58 @@ fn int8_matmul_is_thread_count_invariant() {
                 "seed {seed}: thread count {threads} changed bits"
             );
         }
+    }
+}
+
+/// Above the fan-out threshold each worker owns a different row band, and
+/// a caller may split the rows itself (the flat pass runs each image's
+/// convolutions as calls of their own): neither may change a bit, since
+/// every output element is one exact i32 sum dequantized on its own.
+#[test]
+fn int8_matmul_is_bitwise_thread_and_split_invariant() {
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (m, k, out) = (
+            rng.gen_range(300..360),
+            rng.gen_range(100..140),
+            rng.gen_range(70..90),
+        );
+        assert!(m * k * out >= parallel::PAR_MATMUL_MIN_FLOPS);
+        let (x, wq, xs) = hashed_matmul(m, k, out, rng.gen());
+        let mut codes = vec![0i16; m * k];
+        quantize_activations(&x, xs, &mut codes);
+        let bias: Vec<f32> = (0..out).map(|o| o as f32 * 0.01 - 0.1).collect();
+        let bits = |ys: &[f32]| ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut one = vec![0.0f32; m * out];
+        q8_matmul(&codes, m, &wq, xs, Some(&bias), true, &mut one, 1);
+        for threads in 2..=4 {
+            let mut many = vec![0.0f32; m * out];
+            q8_matmul(&codes, m, &wq, xs, Some(&bias), true, &mut many, threads);
+            assert_eq!(
+                bits(&many),
+                bits(&one),
+                "seed {seed}: threads {threads} changed bits"
+            );
+        }
+        let cut = rng.gen_range(1..m);
+        let mut split = vec![0.0f32; m * out];
+        let (top, bottom) = split.split_at_mut(cut * out);
+        q8_matmul(&codes[..cut * k], cut, &wq, xs, Some(&bias), true, top, 1);
+        let rest = m - cut;
+        q8_matmul(
+            &codes[cut * k..],
+            rest,
+            &wq,
+            xs,
+            Some(&bias),
+            true,
+            bottom,
+            1,
+        );
+        assert_eq!(
+            bits(&split),
+            bits(&one),
+            "seed {seed}: a row split at {cut} changed bits"
+        );
     }
 }

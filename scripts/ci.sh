@@ -148,6 +148,21 @@ for t in crates/tensor/src/quant.rs:quantizer_matches_quantize_one_bit_for_bit \
         exit 1
     fi
 done
+# the flat pass convolves one image at a time: the int8 GEMM above its
+# fan-out threshold and over a caller's row split, every sample of a b8
+# batch against itself alone, reused scratch against fresh, and conv
+# scratch that does not grow with the batch (the quant_bound suite runs
+# above, the core lib suite in tier-1) — check they are present
+for t in crates/tensor/tests/quant_bound.rs:int8_matmul_is_thread_count_invariant \
+         crates/tensor/tests/quant_bound.rs:int8_matmul_is_bitwise_thread_and_split_invariant \
+         crates/core/src/quantized.rs:scratch_reuse_is_equivalent \
+         crates/core/src/quantized.rs:batched_samples_answer_as_they_do_alone \
+         crates/core/src/quantized.rs:conv_scratch_does_not_grow_with_the_batch; do
+    if ! grep -q "fn ${t#*:}" "${t%%:*}"; then
+        echo "error: flat-pass test ${t#*:} is missing from ${t%%:*}" >&2
+        exit 1
+    fi
+done
 # artifact round-trip bit-identity and typed-error rejection of
 # truncated / bit-flipped / shape-mangled files
 cargo test -q -p yollo-core --test quantized_artifact
